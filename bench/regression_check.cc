@@ -32,8 +32,10 @@ std::string KeyValue(const util::JsonValue& v) {
   }
 }
 
-uint64_t SumCounter(const util::JsonValue& profile, const char* name) {
-  const util::JsonValue* ops = profile.Find("operators");
+/// Sums counter `name` over the objects of the profile's `list` array.
+uint64_t SumCounter(const util::JsonValue& profile, const char* name,
+                    const char* list = "operators") {
+  const util::JsonValue* ops = profile.Find(list);
   if (ops == nullptr || !ops->is_array()) return 0;
   double total = 0;
   for (const util::JsonValue& op : ops->AsArray()) {
@@ -90,6 +92,11 @@ Result<BenchRun> BenchRunFromJson(const util::JsonValue& root) {
       c.comparisons = SumCounter(*profile, "comparisons");
       c.rows = SumCounter(*profile, "rows");
       c.nl_cells = SumCounter(*profile, "nl_cells");
+      c.join_build_rows = SumCounter(*profile, "build_rows", "cross_joins");
+      c.join_probe_rows = SumCounter(*profile, "probe_rows", "cross_joins");
+      c.join_candidate_pairs =
+          SumCounter(*profile, "candidate_pairs", "cross_joins");
+      c.join_emitted = SumCounter(*profile, "emitted", "cross_joins");
       c.total_wall_ms = profile->NumberOr("total_wall_ms", 0);
     }
     run.queries[key] = c;
@@ -161,6 +168,14 @@ RegressionReport CompareRuns(const BenchRun& baseline, const BenchRun& current,
                  &report);
     CheckCounter(key, "rows", base.rows, cur.rows, tol, &report);
     CheckCounter(key, "nl_cells", base.nl_cells, cur.nl_cells, tol, &report);
+    CheckCounter(key, "join_build_rows", base.join_build_rows,
+                 cur.join_build_rows, tol, &report);
+    CheckCounter(key, "join_probe_rows", base.join_probe_rows,
+                 cur.join_probe_rows, tol, &report);
+    CheckCounter(key, "join_candidate_pairs", base.join_candidate_pairs,
+                 cur.join_candidate_pairs, tol, &report);
+    CheckCounter(key, "join_emitted", base.join_emitted, cur.join_emitted,
+                 tol, &report);
     if (options.check_latency && base.total_wall_ms > 0 &&
         cur.total_wall_ms >
             base.total_wall_ms * (1.0 + options.latency_tolerance)) {

@@ -12,7 +12,8 @@ namespace blossomtree {
 namespace bench {
 
 /// One query's comparable slice of a BENCH_*.json artifact: the
-/// deterministic work counters summed over the plan's operators, plus the
+/// deterministic work counters summed over the plan's operators (and over
+/// the crossing-edge join steps of multi-tree FLWORs), plus the
 /// (machine-dependent) wall time kept aside for the optional latency check.
 ///
 /// The perf gate diffs the counters, not the clock: with a fixed dataset
@@ -25,6 +26,11 @@ struct QueryCounters {
   uint64_t comparisons = 0;
   uint64_t rows = 0;
   uint64_t nl_cells = 0;
+  /// Crossing-edge join steps ("cross_joins"), summed over the steps.
+  uint64_t join_build_rows = 0;
+  uint64_t join_probe_rows = 0;
+  uint64_t join_candidate_pairs = 0;
+  uint64_t join_emitted = 0;
   double total_wall_ms = 0;  ///< Clock time; only the --check-latency path.
 };
 

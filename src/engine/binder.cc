@@ -136,12 +136,30 @@ class Expander {
   const std::vector<SlotBinding>& bindings_;
 };
 
+/// Appends the blossom slots of the returning subtree rooted at `s`.
+void CollectBlossoms(const pattern::BlossomTree& tree, SlotId s,
+                     const std::vector<SlotBinding>& bindings,
+                     std::vector<SlotId>* out) {
+  if (!bindings[s].variable.empty()) out->push_back(s);
+  for (SlotId c : tree.slot(s).children) {
+    CollectBlossoms(tree, c, bindings, out);
+  }
+}
+
 }  // namespace
 
 std::vector<Env> EnumerateBindings(const pattern::BlossomTree& tree,
                                    const std::vector<SlotId>& tops,
                                    const std::vector<NestedList>& lists,
                                    const std::vector<SlotBinding>& bindings) {
+  std::vector<SlotId> blossoms;
+  for (SlotId t : tops) CollectBlossoms(tree, t, bindings, &blossoms);
+  // A pattern tree whose blossoms are all let-bound comes from
+  // `let $v := <absolute path>`: it binds each variable once, to all of
+  // its matches in document order (possibly none), not once per
+  // NestedList.
+  bool let_only = !blossoms.empty();
+  for (SlotId s : blossoms) let_only = let_only && bindings[s].is_let;
   Expander expander(tree, bindings);
   std::vector<Env> out;
   for (const NestedList& nl : lists) {
@@ -156,6 +174,21 @@ std::vector<Env> EnumerateBindings(const pattern::BlossomTree& tree,
     }
     out.insert(out.end(), std::make_move_iterator(per_list.begin()),
                std::make_move_iterator(per_list.end()));
+  }
+  if (let_only) {
+    Env merged;
+    for (SlotId s : blossoms) merged[bindings[s].variable];
+    for (const Env& env : out) {
+      for (const auto& [var, nodes] : env) {
+        std::vector<xml::NodeId>& seq = merged[var];
+        seq.insert(seq.end(), nodes.begin(), nodes.end());
+      }
+    }
+    for (auto& [var, seq] : merged) {
+      std::sort(seq.begin(), seq.end());
+      seq.erase(std::unique(seq.begin(), seq.end()), seq.end());
+    }
+    return {std::move(merged)};
   }
   // Dedup on for-bound assignments: the same node reachable through two
   // embeddings (recursive documents) binds once.

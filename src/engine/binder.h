@@ -39,7 +39,9 @@ std::vector<Env> EnumerateBindings(
     const std::vector<SlotBinding>& bindings);
 
 /// \brief Cross product of environment lists from independent pattern
-/// trees (the naive nested-loop the paper prescribes for crossing edges).
+/// trees. The engine no longer calls it: crossing edges are evaluated as
+/// joins over binding tuples (engine/cross_join.h), which materialize only
+/// the surviving tuples. Kept as the unfiltered reference.
 std::vector<Env> CrossEnvs(const std::vector<std::vector<Env>>& per_tree);
 
 }  // namespace engine

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 
 #include "engine/binder.h"
+#include "engine/cross_join.h"
 #include "engine/where_eval.h"
 #include "nestedlist/ops.h"
 #include "exec/operator.h"
@@ -339,10 +341,10 @@ Result<std::vector<Env>> BlossomTreeEngine::FlworTuples(
     per_tree.push_back(EnumerateBindings(tree, tp.tops, lists, bindings));
   }
   CollectProfile(&plan, "flwor");
-  // Crossing edges (<<, value joins, deep-equal) are evaluated by the
-  // naive nested loop over the per-tree tuple sets (paper §4.3), as the
-  // where-clause filter below.
-  std::vector<Env> tuples = CrossEnvs(per_tree);
+  if (per_tree.size() > 1) return JoinTrees(flwor, tree, per_tree);
+  // One pattern tree: no crossing edges; the where-clause filters the
+  // tree's own tuples.
+  std::vector<Env> tuples = std::move(per_tree[0]);
   if (!guard_.ChargeRows(tuples.size())) return guard_.status();
   if (flwor.where != nullptr) {
     PathEvaluator ev(doc_);
@@ -356,6 +358,41 @@ Result<std::vector<Env>> BlossomTreeEngine::FlworTuples(
       if (ok) kept.push_back(std::move(t));
     }
     tuples = std::move(kept);
+  }
+  return tuples;
+}
+
+Result<std::vector<Env>> BlossomTreeEngine::JoinTrees(
+    const flwor::Flwor& flwor, const pattern::BlossomTree& tree,
+    const std::vector<std::vector<Env>>& per_tree) {
+  // Crossing edges (<<, value joins, deep-equal, is) between pattern trees
+  // are joins over the trees' binding tuples (paper §4.3, DESIGN.md §17).
+  CrossJoinPlan joins = PlanCrossJoins(flwor, tree);
+  last_explain_ += joins.Explain();
+  std::vector<CrossJoinProfile> steps;
+  Result<std::vector<Env>> tuples = [&] {
+    util::TraceSpan span("engine", "cross-join");
+    return ExecuteCrossJoins(joins, per_tree, *doc_, &guard_, &steps);
+  }();
+  if (options_.collect_metrics) {
+    for (const CrossJoinProfile& s : steps) {
+      metrics_.GetCounter("engine.cross_join.build_rows")->Add(s.build_rows);
+      metrics_.GetCounter("engine.cross_join.probe_rows")->Add(s.probe_rows);
+      metrics_.GetCounter("engine.cross_join.candidate_pairs")
+          ->Add(s.candidate_pairs);
+      metrics_.GetCounter("engine.cross_join.emitted")->Add(s.emitted);
+    }
+  }
+  if (options_.collect_profile) {
+    last_explain_analyze_ += "crossing-edge joins:\n";
+    for (const CrossJoinProfile& s : steps) {
+      char wall[32];
+      std::snprintf(wall, sizeof(wall), " wall=%.3fms",
+                    static_cast<double>(s.wall_nanos) / 1e6);
+      last_explain_analyze_ += "  " + s.label + "  " + s.Counters() + wall +
+                               "\n";
+    }
+    last_profile_.cross_joins = std::move(steps);
   }
   return tuples;
 }
@@ -384,7 +421,9 @@ Status BlossomTreeEngine::EmitTuples(const flwor::Flwor& flwor,
                      });
     std::vector<Env> ordered;
     ordered.reserve(tuples.size());
-    for (const auto& [key, idx] : keys) ordered.push_back(tuples[idx]);
+    for (const auto& [key, idx] : keys) {
+      ordered.push_back(std::move(tuples[idx]));
+    }
     tuples = std::move(ordered);
   }
   uint64_t emitted = 0;
@@ -410,11 +449,17 @@ Result<std::vector<Env>> NaiveFlworTuples(const flwor::Flwor& flwor,
       // enclosing loop — the inefficiency BlossomTree eliminates.
       BT_ASSIGN_OR_RETURN(std::vector<xml::NodeId> nodes,
                           evaluator->EvaluateWith(b.path, t, {}));
+      // Every tuple is charged as a result row before it is appended, so
+      // the row cap bounds the binding loop's memory too.
       if (b.kind == flwor::Binding::Kind::kLet) {
+        if (guard != nullptr && !guard->ChargeRows(1)) return guard->status();
         Env env = t;
         env[b.var] = std::move(nodes);
         next.push_back(std::move(env));
       } else {
+        if (guard != nullptr && !guard->ChargeRows(nodes.size())) {
+          return guard->status();
+        }
         for (xml::NodeId n : nodes) {
           Env env = t;
           env[b.var] = {n};
@@ -426,7 +471,11 @@ Result<std::vector<Env>> NaiveFlworTuples(const flwor::Flwor& flwor,
   }
   if (flwor.where != nullptr) {
     std::vector<Env> kept;
+    uint64_t filtered = 0;
     for (Env& t : tuples) {
+      if (guard != nullptr && (++filtered & 0x1FF) == 0 && !guard->Check()) {
+        return guard->status();
+      }
       BT_ASSIGN_OR_RETURN(
           bool ok, EvalWhere(*flwor.where, t, *evaluator->doc(), evaluator));
       if (ok) kept.push_back(std::move(t));

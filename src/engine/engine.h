@@ -149,6 +149,12 @@ class BlossomTreeEngine {
   Status EvalFlwor(const flwor::Flwor& flwor, const Env& env,
                    ResultBuilder* out);
   Result<std::vector<Env>> FlworTuples(const flwor::Flwor& flwor);
+  /// Joins the binding tuples of a multi-tree FLWOR's pattern trees
+  /// (PlanCrossJoins + ExecuteCrossJoins), appending the join plan to
+  /// EXPLAIN and folding the join steps into the profile/metrics.
+  Result<std::vector<Env>> JoinTrees(
+      const flwor::Flwor& flwor, const pattern::BlossomTree& tree,
+      const std::vector<std::vector<Env>>& per_tree);
   Status EmitTuples(const flwor::Flwor& flwor, std::vector<Env> tuples,
                     ResultBuilder* out);
   /// Finishes the executed plan and snapshots last_profile_ /

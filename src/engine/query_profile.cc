@@ -38,6 +38,13 @@ std::string MsString(uint64_t nanos) {
 
 }  // namespace
 
+std::string CrossJoinProfile::Counters() const {
+  return "build_rows=" + std::to_string(build_rows) +
+         " probe_rows=" + std::to_string(probe_rows) +
+         " candidate_pairs=" + std::to_string(candidate_pairs) +
+         " emitted=" + std::to_string(emitted);
+}
+
 void QueryProfile::AddOperator(std::string label, int depth,
                                const exec::ExecStats& s,
                                double estimated_rows) {
@@ -80,6 +87,21 @@ std::string QueryProfile::ToJson() const {
     out += "}";
   }
   out += "]";
+  if (!cross_joins.empty()) {
+    out += ", \"cross_joins\": [";
+    for (size_t i = 0; i < cross_joins.size(); ++i) {
+      const CrossJoinProfile& j = cross_joins[i];
+      if (i > 0) out += ", ";
+      out += "{\"label\": \"" + EscapeJson(j.label) + "\"";
+      out += ", \"wall_ms\": " + MsString(j.wall_nanos);
+      out += ", \"build_rows\": " + std::to_string(j.build_rows);
+      out += ", \"probe_rows\": " + std::to_string(j.probe_rows);
+      out += ", \"candidate_pairs\": " + std::to_string(j.candidate_pairs);
+      out += ", \"emitted\": " + std::to_string(j.emitted);
+      out += "}";
+    }
+    out += "]";
+  }
   if (!metrics_json.empty()) out += ", \"metrics\": " + metrics_json;
   out += "}";
   return out;
@@ -100,6 +122,9 @@ std::string QueryProfile::ToText() const {
     line += op.label;
     line.append(width - line.size() + 2, ' ');
     out += line + op.stats.Counters() + "\n";
+  }
+  for (const CrossJoinProfile& j : cross_joins) {
+    out += "cross join " + j.label + "  " + j.Counters() + "\n";
   }
   return out;
 }

@@ -19,6 +19,21 @@ struct OperatorProfile {
   exec::ExecStats stats;
 };
 
+/// \brief One crossing-edge join step of a multi-tree FLWOR (DESIGN.md §17):
+/// the join that adds one pattern tree's binding tuples to the tuples of the
+/// trees before it. All counters are deterministic; `wall_nanos` is not.
+struct CrossJoinProfile {
+  std::string label;             ///< e.g. "HashValueJoin($a/x = $b/x)".
+  uint64_t build_rows = 0;       ///< Tuples of the joined tree (filtered).
+  uint64_t probe_rows = 0;       ///< Tuples of the trees joined so far.
+  uint64_t candidate_pairs = 0;  ///< Pairs the join tested.
+  uint64_t emitted = 0;          ///< Tuples that passed every predicate.
+  uint64_t wall_nanos = 0;
+
+  /// \brief "build_rows=.. probe_rows=.. candidate_pairs=.. emitted=..".
+  std::string Counters() const;
+};
+
 /// \brief Per-operator execution profile of one query (DESIGN.md §8).
 ///
 /// Counters come from run-to-completion totals (QueryPlan::FinishAll), so
@@ -30,6 +45,9 @@ struct QueryProfile {
   unsigned threads = 1;  ///< Resolved intra-query parallelism.
   uint64_t total_wall_nanos = 0;  ///< Wall time of the plan roots.
   std::vector<OperatorProfile> operators;
+  /// Crossing-edge join steps, in execution order; empty for single-tree
+  /// FLWORs and path queries, whose profiles are unchanged by them.
+  std::vector<CrossJoinProfile> cross_joins;
   /// Snapshot of the engine's MetricsRegistry as a JSON object (empty
   /// unless EngineOptions::collect_metrics): counters plus histogram
   /// summaries with p50/p90/p99. Embedded verbatim by ToJson(); excluded
@@ -40,7 +58,8 @@ struct QueryProfile {
                    double estimated_rows = -1);
 
   /// \brief JSON object: {"query":..., "strategy":..., "threads":...,
-  /// "total_wall_ms":..., "operators":[{...}, ...]}.
+  /// "total_wall_ms":..., "operators":[{...}, ...]}, plus
+  /// "cross_joins":[{...}, ...] when there are any.
   std::string ToJson() const;
 
   /// \brief Deterministic text form (labels + Counters(), no wall times)

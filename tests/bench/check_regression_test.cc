@@ -58,6 +58,32 @@ TEST(BenchRunFromJsonTest, ParsesArtifactAndSumsOperators) {
   EXPECT_NE(key.find("//x"), std::string::npos) << key;
 }
 
+TEST(BenchRunFromJsonTest, SumsCrossJoinSteps) {
+  auto run = RunFromString(
+      R"({"bench": "t3", "schema_version": 2, "profiles": [
+            {"id": "j", "profile": {"query": "flwor", "operators": [],
+             "cross_joins": [
+               {"label": "HashValueJoin", "wall_ms": 1.5, "build_rows": 4,
+                "probe_rows": 3, "candidate_pairs": 6, "emitted": 5},
+               {"label": "CrossProduct", "wall_ms": 0.5, "build_rows": 2,
+                "probe_rows": 5, "candidate_pairs": 10, "emitted": 10}]}}]})");
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const QueryCounters& c = run->queries.begin()->second;
+  EXPECT_EQ(c.join_build_rows, 6u);
+  EXPECT_EQ(c.join_probe_rows, 8u);
+  EXPECT_EQ(c.join_candidate_pairs, 16u);
+  EXPECT_EQ(c.join_emitted, 15u);
+
+  // The gate fails on any growth of a join counter.
+  BenchRun grown = *run;
+  grown.queries.begin()->second.join_candidate_pairs += 1;
+  RegressionReport report = CompareRuns(*run, grown);
+  ASSERT_EQ(report.failures.size(), 1u);
+  EXPECT_NE(report.failures[0].find("join_candidate_pairs 16 -> 17"),
+            std::string::npos)
+      << report.failures[0];
+}
+
 TEST(BenchRunFromJsonTest, KeyIgnoresFieldOrderAndLatency) {
   auto a = RunFromString(
       R"({"bench": "t", "schema_version": 2, "profiles": [

@@ -67,6 +67,20 @@ TEST(BinderTest, LetOverEmptyBindsEmptySequence) {
   EXPECT_TRUE(fx.envs[0].at("ks").empty());
 }
 
+TEST(BinderTest, LetOverAbsolutePathBindsWholeSequenceOnce) {
+  BinderFixture fx("<r><k/><k/><m/><m/><m/></r>",
+                   "for $x in //k let $all := //m return $x");
+  // One tuple per $x, each seeing all three m's — not one per m.
+  ASSERT_EQ(fx.envs.size(), 2u);
+  for (const Env& e : fx.envs) EXPECT_EQ(e.at("all").size(), 3u);
+}
+
+TEST(BinderTest, LetOverAbsolutePathWithoutMatchesBindsEmpty) {
+  BinderFixture fx("<r><k/></r>", "for $x in //k let $all := //m return $x");
+  ASSERT_EQ(fx.envs.size(), 1u);
+  EXPECT_TRUE(fx.envs[0].at("all").empty());
+}
+
 TEST(BinderTest, NestedForMultiplies) {
   BinderFixture fx("<r><g><k/><k/></g><g><k/></g></r>",
                    "for $g in //g for $k in $g/k return $k");

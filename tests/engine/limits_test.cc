@@ -209,6 +209,84 @@ TEST(EngineLimitsTest, CellBudgetTripsAndEngineRecovers) {
   ASSERT_TRUE(expected.ok());
 }
 
+std::unique_ptr<xml::Document> BibliographyDoc(double scale) {
+  datagen::GenOptions o;
+  o.scale = scale;
+  o.seed = 42;
+  return datagen::GenerateDataset(datagen::Dataset::kD5Dblp, o);
+}
+
+size_t CountPath(const xml::Document* doc, std::string_view path) {
+  BlossomTreeEngine engine(doc, {});
+  auto r = engine.EvaluatePath(MustParsePath(path));
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  return r.ok() ? r.value().size() : 0;
+}
+
+// The value join over articles × inproceedings at a scale where the cross
+// product exceeds 10^6 pairs. The crossing-edge join charges each probe
+// row's matches before appending them, so a 1000-row cap trips after about
+// 1000 materialized tuples, not after the pairs are built.
+TEST(EngineLimitsTest, RowCapTripsValueJoinBeforeMaterializing) {
+  auto doc = BibliographyDoc(/*scale=*/0.1);
+  size_t articles = CountPath(doc.get(), "//article");
+  size_t inproceedings = CountPath(doc.get(), "//inproceedings");
+  ASSERT_GT(articles * inproceedings, 1'000'000u);
+
+  EngineOptions options;
+  options.num_threads = 1;
+  options.limits.max_result_rows = 1000;
+  BlossomTreeEngine engine(doc.get(), options);
+  auto r = engine.EvaluateQuery(
+      "for $a in //article, $b in //inproceedings where $a/author = "
+      "$b/author return <p>{$a/title}</p>");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+  // At most one probe row's matches past the cap were charged.
+  EXPECT_GT(engine.guard().RowsCharged(), 1000u);
+  EXPECT_LE(engine.guard().RowsCharged(), 1000u + inproceedings);
+}
+
+// Without a where-clause the join is a plain cross product; the first probe
+// row already asks for more rows than the cap allows, so nothing of the
+// product is allocated.
+TEST(EngineLimitsTest, RowCapTripsCrossProductBeforeAllocating) {
+  auto doc = BibliographyDoc(/*scale=*/0.1);
+  size_t inproceedings = CountPath(doc.get(), "//inproceedings");
+  ASSERT_GT(inproceedings, 1000u);
+
+  EngineOptions options;
+  options.num_threads = 1;
+  options.limits.max_result_rows = 1000;
+  BlossomTreeEngine engine(doc.get(), options);
+  auto r = engine.EvaluateQuery(
+      "for $a in //article, $b in //inproceedings return <p/>");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(engine.guard().RowsCharged(), inproceedings);
+}
+
+// A join whose pairs all go through an expensive residual (an `or` the join
+// cannot decide) runs for seconds; the deadline is sampled once per probe
+// batch inside the loop, so a 100 ms budget trips about on time.
+TEST(EngineLimitsTest, DeadlineTripsInsideCrossJoin) {
+  auto doc = BibliographyDoc(/*scale=*/0.1);
+  EngineOptions options;
+  options.num_threads = 1;
+  options.limits.deadline_millis = 100;
+  BlossomTreeEngine engine(doc.get(), options);
+  Clock::time_point t0 = Clock::now();
+  auto r = engine.EvaluateQuery(
+      "for $a in //article, $b in //inproceedings where $a/title = "
+      "$b/title or $a/year = \"zzz\" return <p/>");
+  uint64_t millis = MillisSince(t0);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+  // Deadline plus one probe batch (4096 residual evaluations), with slack
+  // for loaded CI machines.
+  EXPECT_LT(millis, 500u);
+}
+
 }  // namespace
 }  // namespace engine
 }  // namespace blossomtree
