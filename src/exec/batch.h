@@ -9,11 +9,11 @@
 namespace blossomtree {
 namespace exec {
 
-/// \brief Fixed-capacity unit of exchange between batch-at-a-time
-/// operators (DESIGN.md §16). A producer clears `rows` and refills it on
-/// each GetNextBatch call; ownership of the rows passes to the consumer,
-/// which may move them out. Reusing one Batch across calls amortizes the
-/// vector allocation the way the Volcano path reused one NestedList.
+/// \brief Fixed-capacity unit of exchange between operators (DESIGN.md
+/// §16). NestedListOperator::GetNextBatch clears `rows` and refills it on
+/// each call; ownership of the rows passes to the consumer, which may move
+/// them out. Reusing one Batch across calls amortizes the vector
+/// allocation.
 struct Batch {
   std::vector<nestedlist::NestedList> rows;
 
@@ -23,21 +23,17 @@ struct Batch {
 };
 
 /// \brief Execution-core knobs, plumbed planner→operators through
-/// `opt::PlanOptions::exec`. `vectorize=false` pins the node-at-a-time
-/// reference path the batch_exec_test equivalence suite compares against;
-/// `simd=false` keeps the batched structure but routes every kernel
-/// through the portable scalar fallback. Results and the deterministic
-/// counter surface are identical across all four combinations
-/// (DESIGN.md §16).
+/// `opt::PlanOptions::exec`. Results and the deterministic counter surface
+/// are identical at every setting (DESIGN.md §16).
 struct ExecOptions {
   /// Rows per exchanged batch, clamped to [1, 4096] by operators. A
   /// NestedList row is a few pointers, so the default 64 rows lands in
-  /// the tentpole's 1–4 KB per-batch target.
+  /// a 1–4 KB batch.
   size_t batch_rows = 64;
-  /// Batch-at-a-time operator internals + kernel candidate prefilters.
-  bool vectorize = true;
-  /// Allow the compiled SIMD kernel backend; false forces the scalar
-  /// fallback (same effect as BLOSSOMTREE_FORCE_SCALAR_KERNELS=1).
+  /// Allow the compiled SIMD kernel backend; false routes every kernel
+  /// through the portable scalar fallback (same effect as
+  /// BLOSSOMTREE_FORCE_SCALAR_KERNELS=1) — the only backend on platforms
+  /// without SSE2/NEON, and how tests reach it in-process.
   bool simd = true;
 };
 

@@ -49,8 +49,6 @@ class IndexSeekOperator : public NestedListOperator {
     return matcher_.top_slots();
   }
 
-  bool GetNext(nestedlist::NestedList* out) override;
-  size_t GetNextBatch(Batch* out, size_t max_rows) override;
   void Rewind() override;
 
   /// \brief Restricts probing to candidates in [begin, end] (the BNLJ
@@ -66,7 +64,7 @@ class IndexSeekOperator : public NestedListOperator {
   size_t NumCandidates() const { return candidates_.size(); }
 
  private:
-  bool GetNextImpl(nestedlist::NestedList* out);
+  bool Next(nestedlist::NestedList* out) override;
 
   const xml::Document* doc_;
   NokMatcher matcher_;
@@ -76,12 +74,8 @@ class IndexSeekOperator : public NestedListOperator {
   xml::NodeId range_end_;
 
   uint64_t probed_ = 0;
-  uint64_t matches_emitted_ = 0;
-  uint64_t cells_emitted_ = 0;
   uint64_t value_cmps_ = 0;
-  uint64_t wall_nanos_ = 0;
 
-  util::ResourceGuard* guard_;
   const storage::NodeStore* store_;
   storage::ScanCursor io_cursor_;
 };

@@ -21,16 +21,14 @@ PipelinedDescJoin::PipelinedDescJoin(const xml::Document* doc,
                                      std::unique_ptr<NestedListOperator> outer,
                                      std::unique_ptr<NestedListOperator> inner,
                                      SlotId from_slot, EdgeMode mode,
-                                     util::ResourceGuard* guard,
-                                     ExecOptions exec)
-    : doc_(doc),
+                                     util::ResourceGuard* guard)
+    : NestedListOperator(guard),
+      doc_(doc),
       tree_(tree),
       outer_(std::move(outer)),
       inner_(std::move(inner)),
       from_slot_(from_slot),
-      mode_(mode),
-      guard_(guard),
-      exec_(exec) {
+      mode_(mode) {
   inner_top_ = inner_->top_slots()[0];
   child_index_ = nestedlist::ChildIndex(*tree, from_slot, inner_top_);
 }
@@ -66,82 +64,42 @@ void PipelinedDescJoin::MergeInto(Entry* e) {
   xml::NodeId end = doc_->SubtreeEnd(e->node);
   // Merge step (paper GetNext lines 7-9): discard inner matches that
   // precede this outer entry; on a non-recursive document they can
-  // belong to no later outer entry either.
-  if (exec_.vectorize) {
-    // Branch-free containment: the live run is sorted by NodeId, so "drop
-    // everything <= start, graft everything <= end, stop at the first
-    // entry beyond" are two counting binary searches per refill instead
-    // of a compare-and-branch per entry. merge_comparisons_ ticks once
-    // per entry disposition — identical to the scalar loop's ticks.
-    while (true) {
-      size_t avail = inner_buf_.size() - inner_head_;
-      if (avail == 0) {
-        if (!inner_done_ && FetchInner()) continue;
-        if (inner_buf_.size() == inner_head_) break;
-        continue;
-      }
-      size_t npop =
-          CountLessEq(inner_nodes_.data() + inner_head_, avail, start);
-      merge_comparisons_ += npop;
-      inner_head_ += npop;
-      if (npop == avail) continue;  // Run drained by stale entries: refill.
-      avail -= npop;
-      size_t ngraft =
-          CountLessEq(inner_nodes_.data() + inner_head_, avail, end);
-      merge_comparisons_ += ngraft;
-      Group& dst = e->groups[child_index_];
-      dst.insert(dst.end(),
-                 std::make_move_iterator(inner_buf_.begin() + inner_head_),
-                 std::make_move_iterator(inner_buf_.begin() + inner_head_ +
-                                         ngraft));
-      inner_head_ += ngraft;
-      if (ngraft == avail) continue;  // More of the region may follow.
-      ++merge_comparisons_;           // The probe that found n > end.
-      break;
-    }
-    return;
-  }
-  // Scalar reference merge: one examined front, one tick, one branch.
+  // belong to no later outer entry either. The live run is sorted by
+  // NodeId, so "drop everything <= start, graft everything <= end, stop at
+  // the first entry beyond" are two counting binary searches per refill
+  // instead of a compare-and-branch per entry. merge_comparisons_ ticks
+  // once per examined entry: each dropped or grafted entry, plus the probe
+  // that found the first entry beyond the region.
   while (true) {
-    while (inner_head_ >= inner_buf_.size() && !inner_done_) FetchInner();
-    if (inner_head_ >= inner_buf_.size()) break;
-    ++merge_comparisons_;
-    xml::NodeId n = inner_nodes_[inner_head_];
-    if (n <= start) {
-      ++inner_head_;
+    size_t avail = inner_buf_.size() - inner_head_;
+    if (avail == 0) {
+      if (!FetchInner()) break;
       continue;
     }
-    if (n > end) break;
-    e->groups[child_index_].push_back(std::move(inner_buf_[inner_head_]));
-    ++inner_head_;
+    size_t npop = CountLessEq(inner_nodes_.data() + inner_head_, avail, start);
+    merge_comparisons_ += npop;
+    inner_head_ += npop;
+    if (npop == avail) continue;  // Run drained by stale entries: refill.
+    avail -= npop;
+    size_t ngraft = CountLessEq(inner_nodes_.data() + inner_head_, avail, end);
+    merge_comparisons_ += ngraft;
+    auto first = inner_buf_.begin() + inner_head_;
+    Group& dst = e->groups[child_index_];
+    dst.insert(dst.end(), std::make_move_iterator(first),
+               std::make_move_iterator(first + ngraft));
+    inner_head_ += ngraft;
+    if (ngraft == avail) continue;  // More of the region may follow.
+    ++merge_comparisons_;           // The probe that found n > end.
+    break;
   }
 }
 
-bool PipelinedDescJoin::GetNext(NestedList* out) {
-  ScopedTimer timer(&wall_nanos_);
-  util::TraceSpan span("exec", TraceName(*this));
-  return GetNextImpl(out);
-}
-
-size_t PipelinedDescJoin::GetNextBatch(Batch* out, size_t max_rows) {
-  ScopedTimer timer(&wall_nanos_);
-  util::TraceSpan span("exec", TraceName(*this));
-  out->rows.clear();
-  max_rows = ClampBatchRows(max_rows);
-  NestedList nl;
-  while (out->rows.size() < max_rows && GetNextImpl(&nl)) {
-    out->rows.push_back(std::move(nl));
-    nl = NestedList();
-  }
-  return out->rows.size();
-}
-
-bool PipelinedDescJoin::GetNextImpl(NestedList* out) {
+bool PipelinedDescJoin::Next(NestedList* out) {
   NestedList m;
   while (outer_->GetNext(&m)) {
     // Batch boundary (DESIGN.md §9): one guard check per outer tuple — the
     // children sample their own guards inside longer stretches of work.
-    if (guard_ != nullptr && !guard_->Check()) return false;
+    if (guard() != nullptr && !guard()->Check()) return false;
     nestedlist::ForEachEntryMutable(*tree_, outer_->top_slots(), &m,
                                     from_slot_, [&](Entry* e) {
                                       if (e->IsPlaceholder()) return;
@@ -154,15 +112,6 @@ bool PipelinedDescJoin::GetNextImpl(NestedList* out) {
     }
     if (valid) {
       *out = std::move(m);
-      uint64_t cells = CountCells(*out);
-      // Charge before counting: a budget trip on this row means the
-      // consumer never received it, so matches/cells must not include it.
-      if (guard_ != nullptr &&
-          !guard_->ChargeCells(cells, cells * sizeof(Entry))) {
-        return false;
-      }
-      ++matches_emitted_;
-      cells_emitted_ += cells;
       return true;
     }
     m = NestedList();
@@ -171,11 +120,8 @@ bool PipelinedDescJoin::GetNextImpl(NestedList* out) {
 }
 
 ExecStats PipelinedDescJoin::Stats() const {
-  ExecStats s;
-  s.wall_nanos = wall_nanos_;
+  ExecStats s = NestedListOperator::Stats();
   s.comparisons = merge_comparisons_;
-  s.matches = matches_emitted_;
-  s.nl_cells = cells_emitted_;
   // The §4.2 memory requirement: peak inner entries buffered awaiting their
   // containing outer entry, costed at the fixed per-entry footprint.
   s.peak_buffer_bytes = peak_buffered_ * sizeof(Entry);
@@ -196,44 +142,25 @@ BoundedNestedLoopJoin::BoundedNestedLoopJoin(
     std::unique_ptr<NestedListOperator> outer,
     std::unique_ptr<NestedListOperator> inner, SlotId from_slot, EdgeMode mode,
     bool bounded, util::ResourceGuard* guard)
-    : doc_(doc),
+    : NestedListOperator(guard),
+      doc_(doc),
       tree_(tree),
       outer_(std::move(outer)),
       inner_(std::move(inner)),
       from_slot_(from_slot),
       mode_(mode),
-      bounded_(bounded),
-      guard_(guard) {
+      bounded_(bounded) {
   inner_top_ = inner_->top_slots()[0];
   child_index_ = nestedlist::ChildIndex(*tree, from_slot, inner_top_);
 }
 
-bool BoundedNestedLoopJoin::GetNext(NestedList* out) {
-  ScopedTimer timer(&wall_nanos_);
-  util::TraceSpan span("exec", TraceName(*this));
-  return GetNextImpl(out);
-}
-
-size_t BoundedNestedLoopJoin::GetNextBatch(Batch* out, size_t max_rows) {
-  ScopedTimer timer(&wall_nanos_);
-  util::TraceSpan span("exec", TraceName(*this));
-  out->rows.clear();
-  max_rows = ClampBatchRows(max_rows);
-  NestedList nl;
-  while (out->rows.size() < max_rows && GetNextImpl(&nl)) {
-    out->rows.push_back(std::move(nl));
-    nl = NestedList();
-  }
-  return out->rows.size();
-}
-
-bool BoundedNestedLoopJoin::GetNextImpl(NestedList* out) {
+bool BoundedNestedLoopJoin::Next(NestedList* out) {
   NestedList m;
   while (outer_->GetNext(&m)) {
     // One check per outer tuple; each inner re-scan below is a governed
     // NokScan that samples the guard itself, so even the naive variant's
     // whole-document re-scans observe a trip within ~512 nodes.
-    if (guard_ != nullptr && !guard_->Check()) return false;
+    if (guard() != nullptr && !guard()->Check()) return false;
     nestedlist::ForEachEntryMutable(
         *tree_, outer_->top_slots(), &m, from_slot_, [&](Entry* e) {
           if (e->IsPlaceholder()) return;
@@ -266,14 +193,6 @@ bool BoundedNestedLoopJoin::GetNextImpl(NestedList* out) {
     }
     if (valid) {
       *out = std::move(m);
-      uint64_t cells = CountCells(*out);
-      // Charge before counting (see PipelinedDescJoin::GetNextImpl).
-      if (guard_ != nullptr &&
-          !guard_->ChargeCells(cells, cells * sizeof(Entry))) {
-        return false;
-      }
-      ++matches_emitted_;
-      cells_emitted_ += cells;
       return true;
     }
     m = NestedList();
@@ -282,10 +201,7 @@ bool BoundedNestedLoopJoin::GetNextImpl(NestedList* out) {
 }
 
 ExecStats BoundedNestedLoopJoin::Stats() const {
-  ExecStats s;
-  s.wall_nanos = wall_nanos_;
-  s.matches = matches_emitted_;
-  s.nl_cells = cells_emitted_;
+  ExecStats s = NestedListOperator::Stats();
   s.rescans = inner_rescans_;
   return s;
 }
@@ -297,33 +213,14 @@ NestedLoopJoin::NestedLoopJoin(
     std::unique_ptr<NestedListOperator> right, std::vector<bool> owns_left,
     std::function<bool(const NestedList&, const NestedList&)> pred,
     util::ResourceGuard* guard)
-    : tops_(std::move(tops)),
+    : NestedListOperator(guard),
+      tops_(std::move(tops)),
       left_(std::move(left)),
       right_(std::move(right)),
       owns_left_(std::move(owns_left)),
-      pred_(std::move(pred)),
-      guard_(guard) {}
+      pred_(std::move(pred)) {}
 
-bool NestedLoopJoin::GetNext(NestedList* out) {
-  ScopedTimer timer(&wall_nanos_);
-  util::TraceSpan span("exec", TraceName(*this));
-  return GetNextImpl(out);
-}
-
-size_t NestedLoopJoin::GetNextBatch(Batch* out, size_t max_rows) {
-  ScopedTimer timer(&wall_nanos_);
-  util::TraceSpan span("exec", TraceName(*this));
-  out->rows.clear();
-  max_rows = ClampBatchRows(max_rows);
-  NestedList nl;
-  while (out->rows.size() < max_rows && GetNextImpl(&nl)) {
-    out->rows.push_back(std::move(nl));
-    nl = NestedList();
-  }
-  return out->rows.size();
-}
-
-bool NestedLoopJoin::GetNextImpl(NestedList* out) {
+bool NestedLoopJoin::Next(NestedList* out) {
   if (!right_materialized_) {
     right_mat_ = Drain(right_.get());
     right_materialized_ = true;
@@ -337,9 +234,9 @@ bool NestedLoopJoin::GetNextImpl(NestedList* out) {
     while (right_pos_ < right_mat_.size()) {
       // This join is quadratic: sample the clock every ~1k predicate
       // evaluations, with a cheap tripped probe in between.
-      if (guard_ != nullptr &&
-          (guard_->Tripped() ||
-           ((pred_calls_ & 0x3FF) == 0x3FF && !guard_->Check()))) {
+      if (guard() != nullptr &&
+          (guard()->Tripped() ||
+           ((pred_calls_ & 0x3FF) == 0x3FF && !guard()->Check()))) {
         return false;
       }
       const NestedList& r = right_mat_[right_pos_++];
@@ -352,14 +249,6 @@ bool NestedLoopJoin::GetNextImpl(NestedList* out) {
       value_cmps_ += ValueComparisonCount() - cmp_before;
       if (hit) {
         *out = nestedlist::Combine(cur_left_, r, owns_left_);
-        uint64_t cells = CountCells(*out);
-        // Charge before counting (see PipelinedDescJoin::GetNextImpl).
-        if (guard_ != nullptr &&
-            !guard_->ChargeCells(cells, cells * sizeof(Entry))) {
-          return false;
-        }
-        ++matches_emitted_;
-        cells_emitted_ += cells;
         return true;
       }
     }
@@ -368,11 +257,8 @@ bool NestedLoopJoin::GetNextImpl(NestedList* out) {
 }
 
 ExecStats NestedLoopJoin::Stats() const {
-  ExecStats s;
-  s.wall_nanos = wall_nanos_;
+  ExecStats s = NestedListOperator::Stats();
   s.comparisons = pred_calls_ + value_cmps_;
-  s.matches = matches_emitted_;
-  s.nl_cells = cells_emitted_;
   return s;
 }
 
@@ -384,15 +270,15 @@ void NestedLoopJoin::Rewind() {
 
 FrameOperator::FrameOperator(const pattern::BlossomTree* tree,
                              std::vector<SlotId> frame_tops, size_t position,
-                             std::unique_ptr<NestedListOperator> input)
-    : tree_(tree),
+                             std::unique_ptr<NestedListOperator> input,
+                             util::ResourceGuard* guard)
+    : NestedListOperator(guard),
+      tree_(tree),
       frame_tops_(std::move(frame_tops)),
       position_(position),
       input_(std::move(input)) {}
 
-bool FrameOperator::GetNext(NestedList* out) {
-  ScopedTimer timer(&wall_nanos_);
-  util::TraceSpan span("exec", TraceName(*this));
+bool FrameOperator::Next(NestedList* out) {
   NestedList in;
   if (!input_->GetNext(&in)) return false;
   out->tops.clear();
@@ -406,17 +292,7 @@ bool FrameOperator::GetNext(NestedList* out) {
       out->tops.push_back(std::move(g));
     }
   }
-  ++matches_emitted_;
-  cells_emitted_ += CountCells(*out);
   return true;
-}
-
-ExecStats FrameOperator::Stats() const {
-  ExecStats s;
-  s.wall_nanos = wall_nanos_;
-  s.matches = matches_emitted_;
-  s.nl_cells = cells_emitted_;
-  return s;
 }
 
 void FrameOperator::Rewind() { input_->Rewind(); }

@@ -5,7 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "exec/batch.h"
 #include "exec/nok_scan.h"
 #include "exec/operator.h"
 #include "util/resource_guard.h"
@@ -27,23 +26,16 @@ class PipelinedDescJoin : public NestedListOperator {
   ///        (cascading); l: they are kept with an empty group.
   /// \param guard optional per-query resource guard, checked once per outer
   ///        tuple and charged for emitted cells (DESIGN.md §9).
-  /// \param exec with `exec.vectorize` the merge step advances over the
-  ///        buffered inner run with branch-free counting searches
-  ///        (CountLessEq) instead of one branchy compare per entry — same
-  ///        stream, same comparison counts.
   PipelinedDescJoin(const xml::Document* doc,
                     const pattern::BlossomTree* tree,
                     std::unique_ptr<NestedListOperator> outer,
                     std::unique_ptr<NestedListOperator> inner,
                     pattern::SlotId from_slot, pattern::EdgeMode mode,
-                    util::ResourceGuard* guard = nullptr,
-                    ExecOptions exec = {});
+                    util::ResourceGuard* guard = nullptr);
 
   const std::vector<pattern::SlotId>& top_slots() const override {
     return outer_->top_slots();
   }
-  bool GetNext(nestedlist::NestedList* out) override;
-  size_t GetNextBatch(Batch* out, size_t max_rows) override;
   void Rewind() override;
   void Restrict(xml::NodeId begin, xml::NodeId end) override {
     outer_->Restrict(begin, end);
@@ -65,10 +57,11 @@ class PipelinedDescJoin : public NestedListOperator {
   }
 
  private:
-  bool GetNextImpl(nestedlist::NestedList* out);
+  bool Next(nestedlist::NestedList* out) override;
   bool FetchInner();
   /// Merges buffered inner entries into `e`'s child group (the paper
-  /// GetNext lines 7-9), fetching more inner as the buffer drains.
+  /// GetNext lines 7-9) with branch-free counting searches (CountLessEq)
+  /// over the buffered run, fetching more inner as the buffer drains.
   void MergeInto(nestedlist::Entry* e);
 
   const xml::Document* doc_;
@@ -79,23 +72,17 @@ class PipelinedDescJoin : public NestedListOperator {
   pattern::SlotId inner_top_;
   size_t child_index_;
   pattern::EdgeMode mode_;
-  util::ResourceGuard* guard_;
-  ExecOptions exec_;
 
   /// Buffered inner run: entries [inner_head_, inner_buf_.size()) are
   /// live, with their region labels mirrored in inner_nodes_ so the merge
-  /// can binary-search a flat sorted NodeId array (the vectorized
+  /// can binary-search a flat sorted NodeId array (the branch-free
   /// containment test) without touching the entries.
   std::vector<nestedlist::Entry> inner_buf_;
   std::vector<xml::NodeId> inner_nodes_;
   size_t inner_head_ = 0;
   bool inner_done_ = false;
   size_t peak_buffered_ = 0;
-
-  uint64_t matches_emitted_ = 0;
-  uint64_t cells_emitted_ = 0;
   uint64_t merge_comparisons_ = 0;
-  uint64_t wall_nanos_ = 0;
 };
 
 /// \brief Bounded nested-loop //-join (paper §4.3): for every outer entry,
@@ -122,8 +109,6 @@ class BoundedNestedLoopJoin : public NestedListOperator {
   const std::vector<pattern::SlotId>& top_slots() const override {
     return outer_->top_slots();
   }
-  bool GetNext(nestedlist::NestedList* out) override;
-  size_t GetNextBatch(Batch* out, size_t max_rows) override;
   void Rewind() override;
   void Restrict(xml::NodeId begin, xml::NodeId end) override {
     outer_->Restrict(begin, end);
@@ -145,7 +130,7 @@ class BoundedNestedLoopJoin : public NestedListOperator {
   }
 
  private:
-  bool GetNextImpl(nestedlist::NestedList* out);
+  bool Next(nestedlist::NestedList* out) override;
 
   const xml::Document* doc_;
   const pattern::BlossomTree* tree_;
@@ -156,11 +141,7 @@ class BoundedNestedLoopJoin : public NestedListOperator {
   size_t child_index_;
   pattern::EdgeMode mode_;
   bool bounded_;
-  util::ResourceGuard* guard_;
   uint64_t inner_rescans_ = 0;
-  uint64_t matches_emitted_ = 0;
-  uint64_t cells_emitted_ = 0;
-  uint64_t wall_nanos_ = 0;
 };
 
 /// \brief Naive nested-loop join (paper §4.3) for the predicates that are
@@ -189,8 +170,6 @@ class NestedLoopJoin : public NestedListOperator {
   const std::vector<pattern::SlotId>& top_slots() const override {
     return tops_;
   }
-  bool GetNext(nestedlist::NestedList* out) override;
-  size_t GetNextBatch(Batch* out, size_t max_rows) override;
   void Rewind() override;
 
   const char* Name() const override { return "NestedLoopJoin"; }
@@ -204,7 +183,7 @@ class NestedLoopJoin : public NestedListOperator {
   }
 
  private:
-  bool GetNextImpl(nestedlist::NestedList* out);
+  bool Next(nestedlist::NestedList* out) override;
 
   std::vector<pattern::SlotId> tops_;
   std::unique_ptr<NestedListOperator> left_;
@@ -213,7 +192,6 @@ class NestedLoopJoin : public NestedListOperator {
   std::function<bool(const nestedlist::NestedList&,
                      const nestedlist::NestedList&)>
       pred_;
-  util::ResourceGuard* guard_;
 
   bool left_valid_ = false;
   nestedlist::NestedList cur_left_;
@@ -223,9 +201,6 @@ class NestedLoopJoin : public NestedListOperator {
 
   uint64_t pred_calls_ = 0;
   uint64_t value_cmps_ = 0;
-  uint64_t matches_emitted_ = 0;
-  uint64_t cells_emitted_ = 0;
-  uint64_t wall_nanos_ = 0;
 };
 
 /// \brief Re-frames a NoK-local stream into a larger slot context: emitted
@@ -234,18 +209,19 @@ class NestedLoopJoin : public NestedListOperator {
 /// NestedList ... placeholders are filled out in the result").
 class FrameOperator : public NestedListOperator {
  public:
+  /// \param guard optional per-query resource guard charged for the cells
+  ///        of every framed list.
   FrameOperator(const pattern::BlossomTree* tree,
                 std::vector<pattern::SlotId> frame_tops, size_t position,
-                std::unique_ptr<NestedListOperator> input);
+                std::unique_ptr<NestedListOperator> input,
+                util::ResourceGuard* guard = nullptr);
 
   const std::vector<pattern::SlotId>& top_slots() const override {
     return frame_tops_;
   }
-  bool GetNext(nestedlist::NestedList* out) override;
   void Rewind() override;
 
   const char* Name() const override { return "Frame"; }
-  ExecStats Stats() const override;
   size_t NumChildren() const override { return 1; }
   const NestedListOperator* Child(size_t) const override {
     return input_.get();
@@ -253,13 +229,12 @@ class FrameOperator : public NestedListOperator {
   NestedListOperator* MutableChild(size_t) override { return input_.get(); }
 
  private:
+  bool Next(nestedlist::NestedList* out) override;
+
   const pattern::BlossomTree* tree_;
   std::vector<pattern::SlotId> frame_tops_;
   size_t position_;
   std::unique_ptr<NestedListOperator> input_;
-  uint64_t matches_emitted_ = 0;
-  uint64_t cells_emitted_ = 0;
-  uint64_t wall_nanos_ = 0;
 };
 
 }  // namespace exec

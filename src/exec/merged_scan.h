@@ -14,30 +14,24 @@ namespace exec {
 /// of the merged scan, and generally handy for tests/plans).
 class MaterializedOperator : public NestedListOperator {
  public:
+  /// \param guard optional per-query resource guard charged for every
+  ///        handed-out list, as a scan producing the same stream would be.
   MaterializedOperator(std::vector<pattern::SlotId> tops,
-                       std::vector<nestedlist::NestedList> lists)
-      : tops_(std::move(tops)), lists_(std::move(lists)) {}
+                       std::vector<nestedlist::NestedList> lists,
+                       util::ResourceGuard* guard = nullptr)
+      : NestedListOperator(guard),
+        tops_(std::move(tops)),
+        lists_(std::move(lists)) {}
 
   const std::vector<pattern::SlotId>& top_slots() const override {
     return tops_;
-  }
-  bool GetNext(nestedlist::NestedList* out) override {
-    ScopedTimer timer(&wall_nanos_);
-    util::TraceSpan span("exec", TraceName(*this));
-    if (pos_ >= lists_.size()) return false;
-    *out = lists_[pos_++];
-    ++matches_emitted_;
-    cells_emitted_ += CountCells(*out);
-    return true;
   }
   void Rewind() override { pos_ = 0; }
 
   const char* Name() const override { return "Materialized"; }
   ExecStats Stats() const override {
     ExecStats s = base_stats_;
-    s.wall_nanos += wall_nanos_;
-    s.matches += matches_emitted_;
-    s.nl_cells += cells_emitted_;
+    s.MergeFrom(NestedListOperator::Stats());
     return s;
   }
 
@@ -46,13 +40,16 @@ class MaterializedOperator : public NestedListOperator {
   void set_base_stats(const ExecStats& s) { base_stats_ = s; }
 
  private:
+  bool Next(nestedlist::NestedList* out) override {
+    if (pos_ >= lists_.size()) return false;
+    *out = lists_[pos_++];
+    return true;
+  }
+
   std::vector<pattern::SlotId> tops_;
   std::vector<nestedlist::NestedList> lists_;
   size_t pos_ = 0;
   ExecStats base_stats_;
-  uint64_t matches_emitted_ = 0;
-  uint64_t cells_emitted_ = 0;
-  uint64_t wall_nanos_ = 0;
 };
 
 /// \brief Merged NoK evaluation (paper §4.2 "merging NoK operators"): runs
@@ -68,11 +65,11 @@ class MergedNokScan {
   ///        samples it every ~512 nodes and stops scanning once tripped
   ///        (the partial materialization is then discarded by the caller,
   ///        which must check guard->status()).
-  /// \param exec batch/vectorization knobs: with `exec.vectorize` and only
-  ///        concrete root tags, the pass runs one SIMD candidate sweep per
-  ///        distinct root tag instead of the per-node dispatch loop — same
-  ///        per-NoK streams and counters (probes re-verify every
-  ///        candidate). Any wildcard root falls back to the per-node pass.
+  /// \param exec kernel knobs (`exec.simd`): when every root tag is
+  ///        concrete, the pass runs one SIMD candidate sweep per distinct
+  ///        root tag instead of the per-node dispatch loop — same per-NoK
+  ///        streams and counters (probes re-verify every candidate). A
+  ///        wildcard root needs the per-node pass.
   MergedNokScan(const xml::Document* doc, const pattern::BlossomTree* tree,
                 std::vector<const pattern::NokTree*> noks,
                 util::ResourceGuard* guard = nullptr, ExecOptions exec = {});

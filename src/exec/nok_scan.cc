@@ -108,6 +108,22 @@ bool NokMatcher::MatchAt(xml::NodeId x, nestedlist::NestedList* out) {
   return true;
 }
 
+namespace {
+
+/// Moves the entries of `src` to the end of `dst` — the whole buffer when
+/// `dst` is still empty, which is the common case of one match per child.
+void AppendGroup(Group* src, Group* dst) {
+  if (dst->empty()) {
+    std::swap(*src, *dst);
+  } else {
+    dst->insert(dst->end(), std::make_move_iterator(src->begin()),
+                std::make_move_iterator(src->end()));
+  }
+  src->clear();
+}
+
+}  // namespace
+
 bool NokMatcher::MatchVertex(uint32_t local_index, xml::NodeId x,
                              std::vector<Group>* out_groups) {
   ++match_work_;
@@ -125,30 +141,28 @@ bool NokMatcher::MatchVertex(uint32_t local_index, xml::NodeId x,
   // Accumulate matches per local child (each child contributes a fixed
   // number of slot groups). Attribute children are constraints evaluated
   // directly on x.
+  struct ChildAcc {
+    std::vector<Group> groups;
+    int tag_count = 0;  ///< Same-tag siblings seen (positional predicates).
+    bool matched = false;
+  };
   size_t n_children = lv.local_children.size();
-  std::vector<std::vector<Group>> acc(n_children);
-  std::vector<bool> matched(n_children, false);
-  std::vector<int> tag_count(n_children, 0);
+  std::vector<ChildAcc> acc(n_children);
   for (size_t k = 0; k < n_children; ++k) {
-    acc[k].resize(locals_[lv.local_children[k]].next_slots.size());
+    acc[k].groups.resize(locals_[lv.local_children[k]].next_slots.size());
   }
 
+  std::vector<Group> sub;
   auto try_child = [&](size_t k, xml::NodeId u) {
     const LocalVertex& s = locals_[lv.local_children[k]];
     const pattern::Vertex& sv = tree_->vertex(s.vertex);
     ++match_work_;
     if (!TagOk(sv, u)) return;
-    if (sv.position > 0) {
-      ++tag_count[k];
-      if (tag_count[k] != sv.position) return;
-    }
-    std::vector<Group> sub;
+    if (sv.position > 0 && ++acc[k].tag_count != sv.position) return;
     if (!MatchVertex(lv.local_children[k], u, &sub)) return;
-    matched[k] = true;
+    acc[k].matched = true;
     for (size_t g = 0; g < sub.size(); ++g) {
-      acc[k][g].insert(acc[k][g].end(),
-                       std::make_move_iterator(sub[g].begin()),
-                       std::make_move_iterator(sub[g].end()));
+      AppendGroup(&sub[g], &acc[k].groups[g]);
     }
   };
 
@@ -162,13 +176,13 @@ bool NokMatcher::MatchVertex(uint32_t local_index, xml::NodeId x,
           doc_->AttributeValue(x, sv.tag.substr(1), &value)) {
         if (!sv.value ||
             CompareValues(value, sv.value->op, sv.value->literal)) {
-          matched[k] = true;
+          acc[k].matched = true;
           if (sv.returning) {
             Entry e;
             e.node = x;  // Attribute matches surface their owner element.
             e.groups.resize(
                 tree_->slot(tree_->SlotOfVertex(s.vertex)).children.size());
-            acc[k][0].push_back(std::move(e));
+            acc[k].groups[0].push_back(std::move(e));
           }
         }
       }
@@ -198,7 +212,7 @@ bool NokMatcher::MatchVertex(uint32_t local_index, xml::NodeId x,
   for (size_t k = 0; k < n_children; ++k) {
     const pattern::Vertex& sv =
         tree_->vertex(locals_[lv.local_children[k]].vertex);
-    if (sv.mode == EdgeMode::kFor && !matched[k]) return false;
+    if (sv.mode == EdgeMode::kFor && !acc[k].matched) return false;
   }
 
   // Assemble this vertex's contribution.
@@ -210,10 +224,8 @@ bool NokMatcher::MatchVertex(uint32_t local_index, xml::NodeId x,
     e.groups.resize(tree_->slot(my_slot).children.size());
     size_t flat = 0;
     for (size_t k = 0; k < n_children; ++k) {
-      for (size_t g = 0; g < acc[k].size(); ++g, ++flat) {
-        Group& dst = e.groups[lv.child_slot_index[flat]];
-        dst.insert(dst.end(), std::make_move_iterator(acc[k][g].begin()),
-                   std::make_move_iterator(acc[k][g].end()));
+      for (size_t g = 0; g < acc[k].groups.size(); ++g, ++flat) {
+        AppendGroup(&acc[k].groups[g], &e.groups[lv.child_slot_index[flat]]);
       }
     }
     Group mine;
@@ -221,7 +233,7 @@ bool NokMatcher::MatchVertex(uint32_t local_index, xml::NodeId x,
     out_groups->push_back(std::move(mine));
   } else {
     for (size_t k = 0; k < n_children; ++k) {
-      for (Group& g : acc[k]) {
+      for (Group& g : acc[k].groups) {
         out_groups->push_back(std::move(g));
       }
     }
@@ -237,7 +249,8 @@ NokScanOperator::NokScanOperator(const xml::Document* doc,
                                  NokResultCache* cache,
                                  const storage::NodeStore* store,
                                  ExecOptions exec)
-    : doc_(doc),
+    : NestedListOperator(guard),
+      doc_(doc),
       tree_(tree),
       nok_(nok),
       matcher_(doc, tree, nok),
@@ -246,7 +259,6 @@ NokScanOperator::NokScanOperator(const xml::Document* doc,
                      ? 0
                      : static_cast<xml::NodeId>(doc->NumNodes() - 1)),
       pool_(pool),
-      guard_(guard),
       cache_(cache),
       store_(store),
       exec_(exec) {
@@ -256,10 +268,10 @@ NokScanOperator::NokScanOperator(const xml::Document* doc,
   }
   // Kernel candidate prefiltering needs a concrete element root tag: the
   // prefilter `tag_id(x) == target` then implies exactly the set of nodes
-  // the reference loop's RootTest would spend any counted work on (TagOk
-  // is a free string compare; value comparisons and match work only start
-  // after it passes), so counters stay bitwise-identical. Wildcard,
-  // attribute, and virtual roots use the per-node reference loop.
+  // a per-node RootTest would spend any counted work on (TagOk is a free
+  // string compare; value comparisons and match work only start after it
+  // passes), so counters stay bitwise-identical. Wildcard and attribute
+  // roots run the per-node loop; a virtual root is its one node.
   const pattern::Vertex& rootv = tree->vertex(nok->root);
   kernel_eligible_ = !virtual_root_ && !rootv.MatchesAnyTag() &&
                      !rootv.tag.empty() && rootv.tag[0] != '@';
@@ -268,17 +280,24 @@ NokScanOperator::NokScanOperator(const xml::Document* doc,
     // candidates — the correct answer, since no node can pass TagOk.
     target_tag_ = doc->tags().Lookup(rootv.tag);
   }
+  Rewind();
 }
 
-void NokScanOperator::SetRange(xml::NodeId begin, xml::NodeId end) {
+void NokScanOperator::Restrict(xml::NodeId begin, xml::NodeId end) {
   range_begin_ = begin;
   range_end_ = end;
-  cursor_ = begin;
-  parallel_done_ = false;
-  parallel_buf_.clear();
-  parallel_pos_ = 0;
-  pending_.clear();
-  pending_pos_ = 0;
+  Rewind();
+}
+
+void NokScanOperator::Rewind() {
+  // The buffer hands entries out by move, so a rewound scan rescans (or
+  // re-probes the cache) rather than replaying it.
+  cursor_ = range_begin_;
+  bool empty_range = range_begin_ > range_end_ ||
+                     static_cast<size_t>(range_begin_) >= doc_->NumNodes();
+  exhausted_ = !virtual_root_ && empty_range;
+  buf_.clear();
+  buf_pos_ = 0;
   io_cursor_ = storage::ScanCursor();
 }
 
@@ -299,36 +318,10 @@ bool NokScanOperator::CacheEligible() const {
          static_cast<size_t>(range_end_) + 1 >= doc_->NumNodes();
 }
 
-bool NokScanOperator::ChargeAndCount(const nestedlist::NestedList& nl) {
-  uint64_t cells = CountCells(nl);
-  // Charge *before* counting: when the budget trips on this row the
-  // consumer never receives it, and matches/cells must reflect what was
-  // actually delivered (the mid-stream-cancellation stats audit).
-  if (guard_ != nullptr &&
-      !guard_->ChargeCells(cells, cells * sizeof(nestedlist::Entry))) {
-    return false;
-  }
-  ++matches_emitted_;
-  cells_emitted_ += cells;
-  return true;
-}
-
-bool NokScanOperator::HandOutBuffered(nestedlist::NestedList* out) {
-  // A trip during materialization leaves a partial buffer: end the stream
-  // instead of handing out a truncated prefix as if complete.
-  if (guard_ != nullptr && guard_->Tripped()) return false;
-  if (parallel_pos_ >= parallel_buf_.size()) return false;
-  *out = std::move(parallel_buf_[parallel_pos_++]);
-  // Cell charging happens at handout (main thread, identical order at
-  // every thread count and on cache hits) so the budget verdict is
-  // deterministic.
-  return ChargeAndCount(*out);
-}
-
 void NokScanOperator::FillCache(
     const NokCacheKey& key,
     const std::vector<nestedlist::NestedList>& matches) {
-  if (guard_ != nullptr && guard_->Tripped()) return;
+  if (guard() != nullptr && guard()->Tripped()) return;
   util::TraceSpan span("cache", "result.fill");
   auto entry = std::make_shared<CachedNokScan>();
   entry->matches = matches;
@@ -373,365 +366,188 @@ bool NokScanOperator::ScanRange(NokMatcher* m, xml::NodeId begin,
                                 uint64_t* scanned, uint64_t* vcmps,
                                 std::vector<nestedlist::NestedList>* out)
     const {
-  size_t total = doc_->NumNodes();
-  if (total == 0 || begin > end) return true;
-  if (static_cast<size_t>(end) >= total) {
-    end = static_cast<xml::NodeId>(total - 1);
-  }
-  std::vector<xml::NodeId> candidates;
+  util::ResourceGuard* guard = this->guard();
   nestedlist::NestedList nl;
-  for (xml::NodeId x = begin;;) {
-    // Chunk-top guard sample. Check() never mutates a counter, so the
-    // coarser-than-legacy cadence leaves untripped-run counters bitwise
-    // unchanged; only trip *timing* coarsens (results are discarded on a
-    // trip, so nothing observable depends on it).
-    if (guard_ != nullptr && (guard_->Tripped() || !guard_->Check())) {
-      return false;
-    }
-    xml::NodeId chunk_end = end;
-    if (chunk_end - x >= kScanChunk) {
-      chunk_end = x + static_cast<xml::NodeId>(kScanChunk) - 1;
-    }
-    uint64_t cmp_before = ValueComparisonCount();
-    if (kernel_eligible_) {
-      candidates.clear();
-      GatherCandidates(x, chunk_end, io, &candidates);
-      *scanned += chunk_end - x + 1;
-      for (xml::NodeId c : candidates) {
-        if (m->RootTest(c) && m->MatchAt(c, &nl) &&
-            (guard_ == nullptr || !guard_->Tripped())) {
-          out->push_back(std::move(nl));
-          nl = nestedlist::NestedList();
-        }
-        if (guard_ != nullptr && guard_->Tripped()) {
-          *vcmps += ValueComparisonCount() - cmp_before;
-          return false;
-        }
-      }
-    } else {
-      // Per-node body for roots the prefilter cannot represent
-      // (wildcard / attribute roots).
-      for (xml::NodeId c = x; c <= chunk_end; ++c) {
-        ++*scanned;
-        if (store_ != nullptr) store_->Get(c, io);
-        if (m->RootTest(c) && m->MatchAt(c, &nl) &&
-            (guard_ == nullptr || !guard_->Tripped())) {
-          out->push_back(std::move(nl));
-          nl = nestedlist::NestedList();
-        }
-        if (guard_ != nullptr && guard_->Tripped()) {
-          *vcmps += ValueComparisonCount() - cmp_before;
-          return false;
-        }
-      }
-    }
-    *vcmps += ValueComparisonCount() - cmp_before;
-    if (chunk_end == end) break;
-    x = chunk_end + 1;
-  }
-  return true;
-}
-
-void NokScanOperator::RunSerialCachedScan() {
-  parallel_buf_.clear();
-  parallel_pos_ = 0;
-  NokCacheKey key{doc_->generation(), canonical_nok_, range_begin_,
-                  range_end_};
-  {
-    util::TraceSpan span("cache", "result.lookup");
-    if (std::shared_ptr<const CachedNokScan> hit = cache_->Get(key)) {
-      // Deep copy: buffered matches are handed out by move, and the cached
-      // master must stay intact for the next hit.
-      parallel_buf_ = hit->matches;
-      parallel_done_ = true;
-      return;
-    }
-  }
-  if (exec_.vectorize) {
-    // Cold: the chunked driver, run eagerly into the buffer. Same stream
-    // and untripped-run counters as the reference loop below.
-    ScanRange(&matcher_, cursor_, range_end_, &io_cursor_, &nodes_scanned_,
-              &value_cmps_, &parallel_buf_);
-    parallel_done_ = true;
-    FillCache(key, parallel_buf_);
-    return;
-  }
-  // Cold: the lazy serial loop, run eagerly into the buffer with the same
-  // per-node guard sampling and counters.
-  nestedlist::NestedList nl;
-  while (cursor_ <= range_end_ &&
-         static_cast<size_t>(cursor_) < doc_->NumNodes()) {
-    if (guard_ != nullptr &&
-        (guard_->Tripped() ||
-         ((nodes_scanned_ & 0x1FF) == 0x1FF && !guard_->Check()))) {
-      break;
-    }
-    xml::NodeId x = cursor_++;
-    ++nodes_scanned_;
-    // Touch the backing store so block residency and read counters track
-    // the scan even though matching runs over the document facade.
-    if (store_ != nullptr) store_->Get(x, &io_cursor_);
-    uint64_t cmp_before = ValueComparisonCount();
-    bool matched = matcher_.RootTest(x) && matcher_.MatchAt(x, &nl);
-    value_cmps_ += ValueComparisonCount() - cmp_before;
-    if (matched && (guard_ == nullptr || !guard_->Tripped())) {
-      parallel_buf_.push_back(std::move(nl));
+  // Appends the match rooted at `c`, if any; false once the guard tripped
+  // (a tripped match's output is garbage and is dropped).
+  auto try_node = [&](xml::NodeId c) {
+    if (m->RootTest(c) && m->MatchAt(c, &nl) &&
+        (guard == nullptr || !guard->Tripped())) {
+      out->push_back(std::move(nl));
       nl = nestedlist::NestedList();
     }
-  }
-  parallel_done_ = true;
-  FillCache(key, parallel_buf_);
-}
-
-void NokScanOperator::RunVirtualCachedScan() {
-  parallel_buf_.clear();
-  parallel_pos_ = 0;
-  NokCacheKey key{doc_->generation(), canonical_nok_, range_begin_,
-                  range_end_};
-  {
-    util::TraceSpan span("cache", "result.lookup");
-    if (std::shared_ptr<const CachedNokScan> hit = cache_->Get(key)) {
-      parallel_buf_ = hit->matches;
-      parallel_done_ = true;
-      return;
+    return guard == nullptr || !guard->Tripped();
+  };
+  uint64_t cmp_before = ValueComparisonCount();
+  bool ok = true;
+  if (virtual_root_) {
+    ++*scanned;
+    ok = try_node(kVirtualRootNode);
+  } else {
+    size_t total = doc_->NumNodes();
+    if (static_cast<size_t>(end) >= total) {
+      end = static_cast<xml::NodeId>(total - 1);
+    }
+    std::vector<xml::NodeId> candidates;
+    for (xml::NodeId x = begin; ok && total > 0 && x <= end;) {
+      // Chunk-top guard sample. Check() never mutates a counter, so
+      // untripped-run counters do not depend on the cadence; only trip
+      // *timing* does (results are discarded on a trip).
+      if (guard != nullptr && (guard->Tripped() || !guard->Check())) {
+        ok = false;
+        break;
+      }
+      xml::NodeId chunk_end = end;
+      if (chunk_end - x >= kScanChunk) {
+        chunk_end = x + static_cast<xml::NodeId>(kScanChunk) - 1;
+      }
+      *scanned += chunk_end - x + 1;
+      if (kernel_eligible_) {
+        candidates.clear();
+        GatherCandidates(x, chunk_end, io, &candidates);
+        for (size_t i = 0; ok && i < candidates.size(); ++i) {
+          ok = try_node(candidates[i]);
+        }
+      } else {
+        // Per-node body for roots the prefilter cannot represent
+        // (wildcard / attribute roots).
+        for (xml::NodeId c = x; ok && c <= chunk_end; ++c) {
+          if (store_ != nullptr) store_->Get(c, io);
+          ok = try_node(c);
+        }
+      }
+      if (chunk_end == end) break;
+      x = chunk_end + 1;
     }
   }
-  ++nodes_scanned_;
-  uint64_t cmp_before = ValueComparisonCount();
-  nestedlist::NestedList nl;
-  bool matched = matcher_.MatchAt(kVirtualRootNode, &nl);
-  value_cmps_ += ValueComparisonCount() - cmp_before;
-  if (matched && (guard_ == nullptr || !guard_->Tripped())) {
-    parallel_buf_.push_back(std::move(nl));
-  }
-  parallel_done_ = true;
-  FillCache(key, parallel_buf_);
+  *vcmps += ValueComparisonCount() - cmp_before;
+  return ok;
 }
 
-void NokScanOperator::RunParallelScan() {
-  util::TraceSpan span(
-      "exec", util::Tracer::Get().enabled() ? Label() + ".parallel"
-                                            : std::string());
-  std::vector<storage::NodeRange> parts =
-      store_ != nullptr ? store_->Partition(pool_->NumThreads())
-                        : storage::PartitionSubtrees(*doc_, pool_->NumThreads());
-  partitions_used_ = parts.size();
+void NokScanOperator::FillNextChunk() {
+  xml::NodeId end = range_end_;
+  if (end - cursor_ >= kScanChunk) {
+    end = cursor_ + static_cast<xml::NodeId>(kScanChunk) - 1;
+  }
+  bool ok = ScanRange(&matcher_, cursor_, end, &io_cursor_, &nodes_scanned_,
+                      &value_cmps_, &buf_);
+  cursor_ = end + 1;
+  exhausted_ = !ok || virtual_root_ || end >= range_end_ ||
+               static_cast<size_t>(cursor_) >= doc_->NumNodes();
+}
+
+void NokScanOperator::FillPartitions() {
+  const bool parallel = ParallelEligible();
+  std::vector<storage::NodeRange> parts;
+  if (parallel) {
+    parts = store_ != nullptr
+                ? store_->Partition(pool_->NumThreads())
+                : storage::PartitionSubtrees(*doc_, pool_->NumThreads());
+    partitions_used_ = parts.size();
+  } else {
+    parts.push_back(storage::NodeRange{range_begin_, range_end_});
+  }
   std::vector<std::vector<nestedlist::NestedList>> results(parts.size());
   std::vector<uint64_t> scanned(parts.size(), 0);
   std::vector<uint64_t> work(parts.size(), 0);
   std::vector<uint64_t> vcmp(parts.size(), 0);
   // Per-partition cache probe (main thread): hit partitions replay their
-  // stored matches; only the misses go to the pool. Partition ranges are a
-  // pure function of (document, thread count), so a warm run at the same
-  // thread count hits every key, and any hit replays exactly what a cold
-  // scan of that range produced — concatenation stays byte-identical.
+  // stored matches; only the misses scan. Partition ranges are a pure
+  // function of (document, thread count), so a warm run at the same thread
+  // count hits every key, and any hit replays exactly what a cold scan of
+  // that range produced — concatenation stays byte-identical.
+  const bool cached = CacheEligible();
   std::vector<std::shared_ptr<const CachedNokScan>> hits(parts.size());
-  std::vector<size_t> missing;
-  if (CacheEligible()) {
+  if (cached) {
     util::TraceSpan span("cache", "result.lookup");
     for (size_t i = 0; i < parts.size(); ++i) {
       hits[i] = cache_->Get(NokCacheKey{doc_->generation(), canonical_nok_,
                                         parts[i].begin, parts[i].end});
-      if (hits[i] == nullptr) missing.push_back(i);
     }
-  } else {
-    missing.resize(parts.size());
-    for (size_t i = 0; i < parts.size(); ++i) missing[i] = i;
   }
-  pool_->ParallelFor(
-      missing.size(),
-      [&](size_t mi) {
-        size_t i = missing[mi];
-        util::TraceSpan part_span(
-            "exec", util::Tracer::Get().enabled()
-                        ? "partition[" + std::to_string(i) + "] nodes [" +
-                              std::to_string(parts[i].begin) + "," +
-                              std::to_string(parts[i].end) + "]"
-                        : std::string());
-        // A private matcher per partition: constraint checks are read-only
-        // on the shared document, and counters stay thread-local. One
-        // partition runs entirely on one worker, so the thread-local
-        // value-comparison delta below is exactly this partition's
-        // comparisons.
-        NokMatcher m(doc_, tree_, nok_);
-        m.set_guard(guard_);
-        // Private I/O cursor per partition: block pins and read counts stay
-        // local to this worker, so the aggregate equals the sum of
-        // partition read counts at every thread count and interleaving.
-        storage::ScanCursor io;
-        if (exec_.vectorize) {
-          ScanRange(&m, parts[i].begin, parts[i].end, &io, &scanned[i],
-                    &vcmp[i], &results[i]);
-        } else {
-          uint64_t cmp_before = ValueComparisonCount();
-          nestedlist::NestedList nl;
-          for (xml::NodeId x = parts[i].begin; x <= parts[i].end; ++x) {
-            // Batch-boundary guard sample: a cheap tripped probe per node
-            // plus a full check every ~512 nodes.
-            if (guard_ != nullptr &&
-                (guard_->Tripped() ||
-                 ((scanned[i] & 0x1FF) == 0x1FF && !guard_->Check()))) {
-              break;
-            }
-            ++scanned[i];
-            if (store_ != nullptr) store_->Get(x, &io);
-            if (!m.RootTest(x)) continue;
-            if (m.MatchAt(x, &nl)) {
-              results[i].push_back(std::move(nl));
-              nl = nestedlist::NestedList();
-            }
-          }
-          vcmp[i] = ValueComparisonCount() - cmp_before;
-        }
-        work[i] = m.MatchWork();
-      },
-      guard_);
-  // Fill the cache for every partition scanned cold (complete scans only;
-  // FillCache refuses after a trip).
-  if (CacheEligible()) {
-    for (size_t i : missing) {
+  std::vector<size_t> missing;
+  for (size_t i = 0; i < parts.size(); ++i) {
+    if (hits[i] == nullptr) missing.push_back(i);
+  }
+  auto scan_partition = [&](size_t mi) {
+    size_t i = missing[mi];
+    util::TraceSpan part_span(
+        "exec", util::Tracer::Get().enabled()
+                    ? "partition[" + std::to_string(i) + "] nodes [" +
+                          std::to_string(parts[i].begin) + "," +
+                          std::to_string(parts[i].end) + "]"
+                    : std::string());
+    // A private matcher per partition: constraint checks are read-only on
+    // the shared document, and counters stay thread-local. One partition
+    // runs entirely on one thread, so ScanRange's thread-local
+    // value-comparison delta is exactly this partition's comparisons.
+    NokMatcher m(doc_, tree_, nok_);
+    m.set_guard(guard());
+    // Private I/O cursor per partition: block pins and read counts stay
+    // local to this thread, so the aggregate equals the sum of partition
+    // read counts at every thread count and interleaving.
+    storage::ScanCursor io;
+    ScanRange(&m, parts[i].begin, parts[i].end, &io, &scanned[i], &vcmp[i],
+              &results[i]);
+    work[i] = m.MatchWork();
+  };
+  if (parallel) {
+    pool_->ParallelFor(missing.size(), scan_partition, guard());
+  } else {
+    for (size_t mi = 0; mi < missing.size(); ++mi) scan_partition(mi);
+  }
+  // Deterministic merge point (DESIGN.md §8): per-partition counters fold
+  // in partition order, matching the result concatenation. Hit partitions
+  // contribute no scan work — they replay a deep copy of their entry, so
+  // the cached master stays intact for the next hit. Complete cold scans
+  // fill their entries (FillCache refuses after a trip).
+  for (size_t i = 0; i < parts.size(); ++i) {
+    nodes_scanned_ += scanned[i];
+    eager_work_ += work[i];
+    value_cmps_ += vcmp[i];
+    if (hits[i] != nullptr) {
+      buf_.insert(buf_.end(), hits[i]->matches.begin(),
+                  hits[i]->matches.end());
+      continue;
+    }
+    if (cached) {
       FillCache(NokCacheKey{doc_->generation(), canonical_nok_,
                             parts[i].begin, parts[i].end},
                 results[i]);
     }
-  }
-  parallel_buf_.clear();
-  // Deterministic merge point (DESIGN.md §8): per-partition counters fold
-  // in partition order, matching the result concatenation. Hit partitions
-  // contribute no scan work — they replay a deep copy of their entry.
-  for (size_t i = 0; i < parts.size(); ++i) {
-    nodes_scanned_ += scanned[i];
-    parallel_work_ += work[i];
-    value_cmps_ += vcmp[i];
-    if (hits[i] != nullptr) {
-      parallel_buf_.insert(parallel_buf_.end(), hits[i]->matches.begin(),
-                           hits[i]->matches.end());
+    if (buf_.empty()) {
+      buf_ = std::move(results[i]);
     } else {
-      parallel_buf_.insert(parallel_buf_.end(),
-                           std::make_move_iterator(results[i].begin()),
-                           std::make_move_iterator(results[i].end()));
+      buf_.insert(buf_.end(), std::make_move_iterator(results[i].begin()),
+                  std::make_move_iterator(results[i].end()));
     }
   }
-  parallel_pos_ = 0;
-  parallel_done_ = true;
+  exhausted_ = true;
 }
 
-bool NokScanOperator::GetNext(nestedlist::NestedList* out) {
-  ScopedTimer timer(&wall_nanos_);
-  util::TraceSpan span("exec", TraceName(*this));
-  return GetNextImpl(out);
-}
-
-size_t NokScanOperator::GetNextBatch(Batch* out, size_t max_rows) {
-  // One timer + trace span for the whole batch: the per-row bookkeeping
-  // that dominated the node-at-a-time hot path amortizes across max_rows.
-  ScopedTimer timer(&wall_nanos_);
-  util::TraceSpan span("exec", TraceName(*this));
-  out->rows.clear();
-  max_rows = ClampBatchRows(max_rows);
-  nestedlist::NestedList nl;
-  while (out->rows.size() < max_rows && GetNextImpl(&nl)) {
-    out->rows.push_back(std::move(nl));
-    nl = nestedlist::NestedList();
-  }
-  return out->rows.size();
-}
-
-bool NokScanOperator::GetNextImpl(nestedlist::NestedList* out) {
-  if (virtual_root_) {
-    if (CacheEligible()) {
-      if (!parallel_done_) RunVirtualCachedScan();
-      return HandOutBuffered(out);
-    }
-    if (virtual_done_) return false;
-    virtual_done_ = true;
-    ++nodes_scanned_;
-    uint64_t cmp_before = ValueComparisonCount();
-    bool matched = matcher_.MatchAt(kVirtualRootNode, out);
-    value_cmps_ += ValueComparisonCount() - cmp_before;
-    if (matched) {
-      ++matches_emitted_;
-      cells_emitted_ += CountCells(*out);
-    }
-    return matched;
-  }
-  if (ParallelEligible()) {
-    if (!parallel_done_) RunParallelScan();
-    return HandOutBuffered(out);
-  }
-  if (CacheEligible()) {
-    if (!parallel_done_) RunSerialCachedScan();
-    return HandOutBuffered(out);
-  }
-  if (exec_.vectorize) {
-    // Chunked serial driver: scan one chunk at a time into the pending
-    // buffer, hand matches out one per call. Emission order and charge
-    // sequence are identical to the reference loop below — charges happen
-    // only on handed-out matches, in the same document order.
-    while (pending_pos_ >= pending_.size()) {
-      pending_.clear();
-      pending_pos_ = 0;
-      if (cursor_ > range_end_ ||
-          static_cast<size_t>(cursor_) >= doc_->NumNodes()) {
-        return false;
-      }
-      xml::NodeId chunk_end = range_end_;
-      if (chunk_end - cursor_ >= kScanChunk) {
-        chunk_end = cursor_ + static_cast<xml::NodeId>(kScanChunk) - 1;
-      }
-      bool ok = ScanRange(&matcher_, cursor_, chunk_end, &io_cursor_,
-                          &nodes_scanned_, &value_cmps_, &pending_);
-      cursor_ = chunk_end + 1;
-      if (!ok) return false;
-    }
-    *out = std::move(pending_[pending_pos_++]);
-    if (guard_ != nullptr && guard_->Tripped()) return false;
-    return ChargeAndCount(*out);
-  }
-  // Reference node-at-a-time loop (exec.vectorize == false): the pinned
-  // baseline the equivalence suite compares the chunked driver against.
-  while (cursor_ <= range_end_ &&
-         static_cast<size_t>(cursor_) < doc_->NumNodes()) {
-    if (guard_ != nullptr &&
-        (guard_->Tripped() ||
-         ((nodes_scanned_ & 0x1FF) == 0x1FF && !guard_->Check()))) {
-      return false;
-    }
-    xml::NodeId x = cursor_++;
-    ++nodes_scanned_;
-    if (store_ != nullptr) store_->Get(x, &io_cursor_);
-    uint64_t cmp_before = ValueComparisonCount();
-    bool matched = matcher_.RootTest(x) && matcher_.MatchAt(x, out);
-    value_cmps_ += ValueComparisonCount() - cmp_before;
-    if (matched) {
-      if (guard_ != nullptr && guard_->Tripped()) return false;
-      return ChargeAndCount(*out);
+bool NokScanOperator::Next(nestedlist::NestedList* out) {
+  while (buf_pos_ >= buf_.size()) {
+    if (exhausted_) return false;
+    buf_.clear();
+    buf_pos_ = 0;
+    if (ParallelEligible() || CacheEligible()) {
+      FillPartitions();
+    } else {
+      FillNextChunk();
     }
   }
-  return false;
+  // After a guard trip mid-fill the buffer may hold a partial prefix; the
+  // base class's charge refuses every row once the guard tripped, so no
+  // truncated stream is ever handed out as if complete.
+  *out = std::move(buf_[buf_pos_++]);
+  return true;
 }
 
 ExecStats NokScanOperator::Stats() const {
-  ExecStats s;
-  s.wall_nanos = wall_nanos_;
+  ExecStats s = NestedListOperator::Stats();
   s.nodes_scanned = nodes_scanned_;
   s.comparisons = MatchWork() + value_cmps_;
-  s.matches = matches_emitted_;
-  s.nl_cells = cells_emitted_;
   return s;
-}
-
-void NokScanOperator::Rewind() {
-  cursor_ = range_begin_;
-  virtual_done_ = false;
-  // Parallel buffers hand entries out by move, so a rewound parallel scan
-  // recomputes — mirroring the serial driver, which also rescans.
-  parallel_done_ = false;
-  parallel_buf_.clear();
-  parallel_pos_ = 0;
-  pending_.clear();
-  pending_pos_ = 0;
-  io_cursor_ = storage::ScanCursor();
 }
 
 }  // namespace exec

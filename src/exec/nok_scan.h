@@ -2,9 +2,8 @@
 #define BLOSSOMTREE_EXEC_NOK_SCAN_H_
 
 #include <cstdint>
-#include <vector>
-
 #include <string>
+#include <vector>
 
 #include "exec/batch.h"
 #include "exec/operator.h"
@@ -85,20 +84,27 @@ class NokMatcher {
 /// tree against the blossom tree"): tries the NoK at every node in document
 /// order and emits one NestedList per match, as a Volcano-style iterator.
 ///
-/// With a thread pool the full-document scan runs in *parallel mode*: the
-/// document is split at top-level subtree boundaries
-/// (storage::PartitionSubtrees), one private NokMatcher matches each
-/// partition's node range, and the per-partition match lists are
-/// concatenated in partition order. Partition ranges ascend in NodeId (=
-/// Dewey/document order), and every match is local to its partition, so the
-/// concatenation is bitwise-identical to the serial scan's output stream
-/// (Theorem 1; DESIGN.md §7). Range-restricted scans (the BNLJ inner side)
-/// always use the serial path.
+/// One range driver over one match buffer (DESIGN.md §16). ScanRange runs
+/// the NoK over a node range — a virtual "~" root is a one-node range — in
+/// 512-node chunks, each prefiltered by a SIMD tag-id kernel when the root
+/// tag is concrete. The buffer is filled in one of two ways:
+///  - lazily, one chunk per refill, when there is no cache and no pool or
+///    the range is restricted — the streaming memory bound of paper §4.2;
+///  - eagerly, the whole range as partitions, for a full-document scan
+///    with a result cache or a multi-thread pool. With a pool the document
+///    is split at top-level subtree boundaries (storage::PartitionSubtrees)
+///    and one private NokMatcher matches each partition; serially the range
+///    is one partition. With a cache each partition is probed first, and
+///    each miss is scanned and then filled in.
+/// Partition ranges ascend in NodeId (= Dewey/document order) and every
+/// match is local to its partition, so the concatenation is bitwise-
+/// identical to the lazy stream (Theorem 1; DESIGN.md §7), and so are the
+/// deterministic counters.
 class NokScanOperator : public NestedListOperator {
  public:
   /// \param pool optional worker pool; nullptr (or a restricted range)
-  ///        selects the exact serial scan.
-  /// \param guard optional per-query resource guard, sampled at batch
+  ///        selects the serial scan.
+  /// \param guard optional per-query resource guard, sampled at chunk
   ///        boundaries (every ~512 nodes, per partition in parallel mode)
   ///        and charged for every emitted NestedList cell; once tripped the
   ///        stream ends early and the caller must check guard->status().
@@ -106,17 +112,16 @@ class NokScanOperator : public NestedListOperator {
   ///        scans probe it by (document generation, canonical NoK, range)
   ///        and replay a hit's materialized matches without scanning;
   ///        complete cold scans fill it. Range-restricted scans (the BNLJ
-  ///        inner side) bypass it. nullptr = the exact uncached scan.
+  ///        inner side) bypass it. nullptr = the uncached scan.
   /// \param store optional paged node store backing `doc` (an in-RAM
-  ///        PageStore or an out-of-core DiskStore): the scan drivers touch
-  ///        every visited node through it with a per-scan cursor, so block
+  ///        PageStore or an out-of-core DiskStore): the scan touches every
+  ///        visited node through it with a per-scan cursor, so block
   ///        residency and page-read counts reflect the scan's real access
   ///        pattern — deterministically, independent of concurrent readers.
   ///        Partitioning also goes through the store when attached.
-  /// \param exec batch/vectorization knobs (DESIGN.md §16).
-  /// `exec.vectorize` selects the chunked scan driver with SIMD tag-id
-  /// candidate prefiltering; false pins the node-at-a-time reference
-  /// loop. Results and deterministic counters are identical either way.
+  /// \param exec kernel knobs (DESIGN.md §16): `exec.simd=false` routes the
+  ///        tag prefilter through the scalar fallback. Results and counters
+  ///        are identical either way.
   NokScanOperator(const xml::Document* doc, const pattern::BlossomTree* tree,
                   const pattern::NokTree* nok,
                   util::ThreadPool* pool = nullptr,
@@ -130,56 +135,42 @@ class NokScanOperator : public NestedListOperator {
   }
 
   /// \brief Restricts the scan to nodes in [begin, end] (inclusive) — the
-  /// bounded range of the BNLJ inner side (paper §4.3). Call before the
-  /// first GetNext or after Rewind.
-  void SetRange(xml::NodeId begin, xml::NodeId end);
-
-  void Restrict(xml::NodeId begin, xml::NodeId end) override {
-    SetRange(begin, end);
-  }
-
-  /// \brief Fetches the next match in document order of the match root.
-  bool GetNext(nestedlist::NestedList* out) override;
-
-  /// \brief Batch production: one timer/trace span per batch instead of
-  /// per row, same stream and counters as repeated GetNext.
-  size_t GetNextBatch(Batch* out, size_t max_rows) override;
+  /// bounded range of the BNLJ inner side (paper §4.3) — and rewinds.
+  void Restrict(xml::NodeId begin, xml::NodeId end) override;
 
   void Rewind() override;
 
   /// \brief Nodes the driver has scanned (the I/O proxy: one sequential
   /// pass costs NumNodes). Parallel partitions contribute their counts.
   uint64_t NodesScanned() const { return nodes_scanned_; }
-  uint64_t MatchWork() const { return matcher_.MatchWork() + parallel_work_; }
+  uint64_t MatchWork() const { return matcher_.MatchWork() + eager_work_; }
 
   /// \brief Partitions used by the last parallel scan (0 = serial path).
   size_t PartitionsUsed() const { return partitions_used_; }
 
   const char* Name() const override { return "NokScan"; }
 
-  /// \brief Counters (DESIGN.md §8): serial scans accumulate as the stream
-  /// is consumed; parallel scans merge per-partition thread-local counts in
-  /// partition order at materialization, and count matches/cells on
-  /// handout. After Finish() both paths report identical totals.
+  /// \brief Counters (DESIGN.md §8): lazy scans accumulate as the stream is
+  /// consumed; eager scans merge per-partition thread-local counts in
+  /// partition order when they fill the buffer. Matches and cells are
+  /// counted on handout. After Finish() both report identical totals.
   ExecStats Stats() const override;
 
  private:
-  /// Chunk granularity of the batched scan drivers: guard checks, kernel
-  /// candidate prefilters, and bulk nodes_scanned accounting all happen at
-  /// this stride (DESIGN.md §16).
+  /// Chunk granularity of the scan driver: guard checks, kernel candidate
+  /// prefilters, bulk nodes_scanned accounting and lazy refills all happen
+  /// at this stride (DESIGN.md §16).
   static constexpr size_t kScanChunk = 512;
 
-  /// GetNext body without the per-call timer/trace span (GetNext and
-  /// GetNextBatch wrap it, amortizing both per row or per batch).
-  bool GetNextImpl(nestedlist::NestedList* out);
+  bool Next(nestedlist::NestedList* out) override;
 
-  /// Scans nodes [begin, end] with matcher `m`, touching `store_` through
-  /// `io`, bulk-counting scanned nodes / value comparisons into *scanned /
-  /// *vcmps and appending matches to *out. Chunked: the guard is sampled at
-  /// every ≤kScanChunk-node chunk top instead of the legacy per-node cadence
-  /// — Check() never mutates counters, so untripped runs keep bitwise-
-  /// identical counters; only trip *timing* coarsens (errored runs discard
-  /// results). Returns false iff the guard tripped mid-scan.
+  /// Scans nodes [begin, end] with matcher `m` (the virtual root instead,
+  /// as a one-node range, for a "~" NoK), touching `store_` through `io`,
+  /// bulk-counting scanned nodes / value comparisons into *scanned /
+  /// *vcmps and appending matches to *out. The guard is sampled at every
+  /// ≤kScanChunk-node chunk top — Check() never mutates counters, so
+  /// untripped runs keep bitwise-identical counters. Returns false iff the
+  /// guard tripped mid-scan.
   bool ScanRange(NokMatcher* m, xml::NodeId begin, xml::NodeId end,
                  storage::ScanCursor* io, uint64_t* scanned, uint64_t* vcmps,
                  std::vector<nestedlist::NestedList>* out) const;
@@ -192,38 +183,23 @@ class NokScanOperator : public NestedListOperator {
                         storage::ScanCursor* io,
                         std::vector<xml::NodeId>* out) const;
 
-  /// Charges the guard for an about-to-be-emitted match, then counts it.
-  /// Counting after a *successful* charge keeps matches/cells stats in sync
-  /// with what the consumer actually received when a budget trips on the
-  /// final row (the stats audit fix; regression-tested in batch_exec_test).
-  bool ChargeAndCount(const nestedlist::NestedList& nl);
-
-  /// True when the pending scan may run partitioned: a pool is attached and
-  /// the range covers the whole document (the BNLJ's restricted inner
-  /// re-scans stay serial — their ranges are single subtrees).
+  /// True when the scan may run partitioned: a multi-thread pool is
+  /// attached and the range covers the whole document (the BNLJ's
+  /// restricted inner re-scans stay serial — their ranges are single
+  /// subtrees).
   bool ParallelEligible() const;
 
-  /// True when the pending scan may use the result cache: a cache is
-  /// attached and the range covers the whole finished document.
+  /// True when the scan may use the result cache: a cache is attached and
+  /// the range covers the whole finished document.
   bool CacheEligible() const;
 
-  /// Materializes all matches of the full-document scan via one matcher per
-  /// partition, concatenated in partition (= document) order. With a cache,
-  /// hit partitions replay their stored matches and only miss partitions
-  /// scan (each complete miss fills its entry).
-  void RunParallelScan();
+  /// Lazy fill: scans the next ≤kScanChunk nodes of the range into buf_.
+  void FillNextChunk();
 
-  /// Cached serial path: probes the whole-range key, scanning eagerly into
-  /// the buffer on a miss (then filling the cache). Emits the same stream,
-  /// counters, and guard charges as the lazy serial loop.
-  void RunSerialCachedScan();
-
-  /// Cached virtual-root path ("~" NoKs match at most once per document).
-  void RunVirtualCachedScan();
-
-  /// Hands out the next buffered match: move, count, charge (the same
-  /// deterministic main-thread charging as the parallel handout).
-  bool HandOutBuffered(nestedlist::NestedList* out);
+  /// Eager fill: the whole range as partitions (one when serial), each
+  /// probed against and filled into the cache when one applies, into buf_
+  /// in partition (= document) order.
+  void FillPartitions();
 
   /// Stores a complete match list under `key` unless the guard tripped
   /// mid-scan (a partial list must never be cached).
@@ -235,48 +211,40 @@ class NokScanOperator : public NestedListOperator {
   const pattern::NokTree* nok_;
   NokMatcher matcher_;
   bool virtual_root_;
-  bool virtual_done_ = false;
-  xml::NodeId cursor_ = 0;
   xml::NodeId range_begin_ = 0;
   xml::NodeId range_end_;
-  uint64_t nodes_scanned_ = 0;
-  uint64_t matches_emitted_ = 0;
-  uint64_t cells_emitted_ = 0;
-  uint64_t value_cmps_ = 0;
-  uint64_t wall_nanos_ = 0;
+  /// Next node the lazy fill scans; `exhausted_` once the range is done.
+  xml::NodeId cursor_ = 0;
+  bool exhausted_ = false;
+  /// The match buffer: entries [buf_pos_, size) are yet to be handed out.
+  std::vector<nestedlist::NestedList> buf_;
+  size_t buf_pos_ = 0;
 
-  util::ThreadPool* pool_;
-  util::ResourceGuard* guard_;
-  /// Shared materialization state: the parallel scan and both cached paths
-  /// buffer their full match stream here and hand entries out by move.
-  bool parallel_done_ = false;
-  std::vector<nestedlist::NestedList> parallel_buf_;
-  size_t parallel_pos_ = 0;
-  uint64_t parallel_work_ = 0;
+  uint64_t nodes_scanned_ = 0;
+  uint64_t value_cmps_ = 0;
+  /// Match work of the eager fills' private per-partition matchers.
+  uint64_t eager_work_ = 0;
   size_t partitions_used_ = 0;
 
+  util::ThreadPool* pool_;
   NokResultCache* cache_;
   /// Canonical NoK fingerprint (computed once at construction when a cache
   /// is attached): the pattern half of every cache key this scan uses.
   std::string canonical_nok_;
 
-  /// Optional paged store behind the document; the serial drivers thread
-  /// `io_cursor_` through it (parallel partitions use private cursors).
+  /// Optional paged store behind the document; the lazy fill threads
+  /// `io_cursor_` through it (partitions use private cursors).
   const storage::NodeStore* store_;
   storage::ScanCursor io_cursor_;
 
   ExecOptions exec_;
   /// Root tag id for kernel candidate prefiltering; kNullTag when the tag
-  /// is absent from the document (zero candidates, matching the reference
+  /// is absent from the document (zero candidates, matching a per-node
   /// scan's zero matches).
   xml::TagId target_tag_ = xml::kNullTag;
-  /// Prefiltering is sound only for a concrete element root: wildcard /
-  /// attribute / virtual roots fall back to the per-node reference loop.
+  /// Prefiltering is sound only for a concrete element root: wildcard and
+  /// attribute roots run the per-node loop inside each chunk.
   bool kernel_eligible_ = false;
-  /// Serial vectorized path: matches found by the current chunk, handed
-  /// out one per GetNext (charged on handout like the buffered paths).
-  std::vector<nestedlist::NestedList> pending_;
-  size_t pending_pos_ = 0;
 };
 
 }  // namespace exec

@@ -5,6 +5,50 @@
 namespace blossomtree {
 namespace exec {
 
+bool NestedListOperator::GetNext(nestedlist::NestedList* out) {
+  ScopedTimer timer(&wall_nanos_);
+  util::TraceSpan span("exec", TraceName(*this));
+  return Next(out) && Emit(*out);
+}
+
+size_t NestedListOperator::GetNextBatch(Batch* out, size_t max_rows) {
+  // One timer + trace span for the whole batch: the per-row bookkeeping
+  // amortizes across max_rows.
+  ScopedTimer timer(&wall_nanos_);
+  util::TraceSpan span("exec", TraceName(*this));
+  out->rows.clear();
+  max_rows = ClampBatchRows(max_rows);
+  nestedlist::NestedList nl;
+  while (out->rows.size() < max_rows && Next(&nl) && Emit(nl)) {
+    out->rows.push_back(std::move(nl));
+    nl = nestedlist::NestedList();
+  }
+  return out->rows.size();
+}
+
+bool NestedListOperator::Emit(const nestedlist::NestedList& nl) {
+  uint64_t cells = CountCells(nl);
+  // Charge *before* counting: when the budget trips on this row the
+  // consumer never receives it, and matches/cells must reflect what was
+  // actually delivered. ChargeCells also refuses once the guard tripped
+  // anywhere else, so a stream ends at the first row after any trip.
+  if (guard_ != nullptr &&
+      !guard_->ChargeCells(cells, cells * sizeof(nestedlist::Entry))) {
+    return false;
+  }
+  ++matches_;
+  nl_cells_ += cells;
+  return true;
+}
+
+ExecStats NestedListOperator::Stats() const {
+  ExecStats s;
+  s.wall_nanos = wall_nanos_;
+  s.matches = matches_;
+  s.nl_cells = nl_cells_;
+  return s;
+}
+
 std::vector<nestedlist::NestedList> Drain(NestedListOperator* op) {
   std::vector<nestedlist::NestedList> out;
   Batch batch;

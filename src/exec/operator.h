@@ -8,6 +8,7 @@
 #include "exec/exec_stats.h"
 #include "nestedlist/nested_list.h"
 #include "pattern/blossom_tree.h"
+#include "util/resource_guard.h"
 #include "util/trace.h"
 #include "xml/document.h"
 
@@ -17,36 +18,41 @@ namespace exec {
 /// \brief Volcano-style iterator over NestedLists (paper §4.2: operators
 /// expose GetNext; pipelined joins compose them without materialization).
 ///
+/// One dialect (DESIGN.md §16): each operator implements only the protected
+/// Next(); the base class owns both public entry points and the emission
+/// accounting. GetNextBatch pays one timer and trace span per batch,
+/// GetNext is the same path for one row, and both charge every emitted
+/// row's cells to the resource guard *before* counting it, so an operator
+/// cannot skip its budget and a row that trips the budget is neither
+/// delivered nor counted.
+///
 /// Every operator additionally exposes the observability surface of
 /// DESIGN.md §8: a name/label, ExecStats counters, and child links so the
 /// EXPLAIN ANALYZE renderer and QueryProfile export can walk the executed
 /// plan tree.
 class NestedListOperator {
  public:
+  /// \param guard optional per-query resource guard charged for every
+  ///        emitted NestedList cell; once it trips, streams end early and
+  ///        the caller must check guard->status().
+  explicit NestedListOperator(util::ResourceGuard* guard = nullptr)
+      : guard_(guard) {}
   virtual ~NestedListOperator() = default;
 
   /// \brief The slot context of emitted NestedLists.
   virtual const std::vector<pattern::SlotId>& top_slots() const = 0;
 
-  /// \brief Produces the next NestedList; false at end of stream.
-  virtual bool GetNext(nestedlist::NestedList* out) = 0;
+  /// \brief Produces the next NestedList; false at end of stream. A
+  /// one-row GetNextBatch, for joins that consume their children row by
+  /// row and for tests.
+  bool GetNext(nestedlist::NestedList* out);
 
   /// \brief Batch-at-a-time production (DESIGN.md §16): clears `out` and
-  /// refills it with up to `max_rows` NestedLists. Returns the number
-  /// produced; 0 ⟺ end of stream. The base implementation adapts
-  /// node-at-a-time GetNext; batch-native operators override it to pay
-  /// the timer, trace span, and guard checks once per batch instead of
-  /// once per row. Mixing GetNext and GetNextBatch calls on one stream is
-  /// legal — both advance the same cursor.
-  virtual size_t GetNextBatch(Batch* out, size_t max_rows) {
-    out->rows.clear();
-    nestedlist::NestedList nl;
-    while (out->rows.size() < max_rows && GetNext(&nl)) {
-      out->rows.push_back(std::move(nl));
-      nl = nestedlist::NestedList();
-    }
-    return out->rows.size();
-  }
+  /// refills it with up to ClampBatchRows(max_rows) NestedLists. Returns
+  /// the number produced; 0 ⟺ end of stream. Mixing GetNext and
+  /// GetNextBatch calls on one stream is legal — both advance the same
+  /// cursor.
+  size_t GetNextBatch(Batch* out, size_t max_rows);
 
   /// \brief Restarts the stream from the beginning.
   virtual void Rewind() = 0;
@@ -67,15 +73,17 @@ class NestedListOperator {
 
   /// \brief Execution counters accumulated so far. Profile collectors call
   /// Finish() first so lazily-consumed streams report run-to-completion
-  /// totals (identical across thread counts).
-  virtual ExecStats Stats() const { return ExecStats{}; }
+  /// totals (identical across thread counts). The base reports the
+  /// emission counters it owns (wall time, matches, nl_cells); operators
+  /// with work counters of their own add them to NestedListOperator::Stats().
+  virtual ExecStats Stats() const;
 
   /// \brief Runs this operator's stream to completion without emitting to a
   /// consumer, then finishes its children. EXPLAIN ANALYZE semantics: after
   /// Finish(), counters cover the whole input, whether the stream was
   /// consumed lazily (serial scans) or materialized eagerly (parallel
   /// scans) — the normalization the cross-thread determinism tests rely on.
-  virtual void Finish() {
+  void Finish() {
     nestedlist::NestedList nl;
     while (GetNext(&nl)) nl = nestedlist::NestedList();
     for (size_t i = 0; i < NumChildren(); ++i) MutableChild(i)->Finish();
@@ -102,7 +110,23 @@ class NestedListOperator {
   double estimated_rows() const { return estimated_rows_; }
   void set_estimated_rows(double rows) { estimated_rows_ = rows; }
 
+ protected:
+  /// \brief Produces the next row of the stream into `out`; false at end of
+  /// stream. Called only by GetNext/GetNextBatch, which time, charge and
+  /// count what it returns.
+  virtual bool Next(nestedlist::NestedList* out) = 0;
+
+  util::ResourceGuard* guard() const { return guard_; }
+
  private:
+  /// Charges `nl` to the guard, then counts it; false when the charge
+  /// trips the budget (the row is then dropped, not delivered).
+  bool Emit(const nestedlist::NestedList& nl);
+
+  util::ResourceGuard* guard_;
+  uint64_t wall_nanos_ = 0;
+  uint64_t matches_ = 0;
+  uint64_t nl_cells_ = 0;
   std::string label_;
   double estimated_rows_ = -1.0;
 };

@@ -283,7 +283,7 @@ class TreePlanner {
       if (join == JoinStrategy::kPipelined) {
         op = std::make_unique<exec::PipelinedDescJoin>(
             doc_, tree_, std::move(op), std::move(inner), from_slot, c.mode,
-            guard_, exec_);
+            guard_);
       } else {
         op = std::make_unique<exec::BoundedNestedLoopJoin>(
             doc_, tree_, std::move(op), std::move(inner), from_slot, c.mode,

@@ -75,12 +75,10 @@ struct PlanOptions {
   /// seeks re-verify every candidate and emit the scan's exact stream.
   /// nullptr = every NoK scans (the exact pre-index behavior).
   const index::StructuralIndex* index = nullptr;
-  /// Batched/vectorized execution knobs (DESIGN.md §16): batch size for
-  /// GetNextBatch exchanges, the chunked+SIMD scan drivers
-  /// (`exec.vectorize`, on by default), and the SIMD kernel toggle
-  /// (`exec.simd`). Every combination produces byte-identical results and
-  /// bitwise-identical deterministic counters; vectorize=false pins the
-  /// node-at-a-time reference path.
+  /// Execution knobs (DESIGN.md §16): the batch size of GetNextBatch
+  /// exchanges and the SIMD kernel toggle (`exec.simd`). Every combination
+  /// produces byte-identical results and bitwise-identical deterministic
+  /// counters.
   exec::ExecOptions exec;
 };
 

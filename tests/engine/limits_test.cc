@@ -287,6 +287,48 @@ TEST(EngineLimitsTest, DeadlineTripsInsideCrossJoin) {
   EXPECT_LT(millis, 500u);
 }
 
+// Every operator charges its emitted rows through the one base-class path,
+// so no access path gets around the cell budget: not the virtual-root
+// scan ("/dblp/..." is one NoK rooted at "~"), with or without the result
+// cache and at any thread count, and not the merged scan's materialized
+// per-NoK views.
+std::unique_ptr<xml::Document> SmallBibliography() {
+  datagen::GenOptions o;
+  o.scale = 0.02;
+  o.seed = 7;
+  return datagen::GenerateDataset(datagen::Dataset::kD5Dblp, o);
+}
+
+TEST(EngineLimitsTest, CellBudgetCoversVirtualRootScans) {
+  auto doc = SmallBibliography();
+  for (bool cache : {false, true}) {
+    for (unsigned threads : {1u, 4u}) {
+      EngineOptions options;
+      options.num_threads = threads;
+      options.result_cache.enabled = cache;
+      options.limits.max_nl_cells = 5;
+      BlossomTreeEngine engine(doc.get(), options);
+      auto r = engine.EvaluatePath(MustParsePath("/dblp/article/title"));
+      ASSERT_FALSE(r.ok()) << "cache=" << cache << " threads=" << threads
+                           << " returned " << r.value().size() << " rows";
+      EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+    }
+  }
+}
+
+TEST(EngineLimitsTest, CellBudgetCoversMergedScanViews) {
+  auto doc = SmallBibliography();
+  EngineOptions options;
+  options.num_threads = 1;
+  options.plan.strategy = opt::JoinStrategy::kPipelined;
+  options.plan.merge_nok_scans = true;
+  options.limits.max_nl_cells = 5;
+  BlossomTreeEngine engine(doc.get(), options);
+  auto r = engine.EvaluatePath(MustParsePath("//article/title"));
+  ASSERT_FALSE(r.ok()) << "returned " << r.value().size() << " rows";
+  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+}
+
 }  // namespace
 }  // namespace engine
 }  // namespace blossomtree

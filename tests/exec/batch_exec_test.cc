@@ -1,9 +1,12 @@
 // Batch-at-a-time execution equivalence suite (DESIGN.md §16):
+//  - every NoK scan stream and its counters must equal the node-at-a-time
+//    reference scan (bench/reference_scan.h) on all five generated
+//    datasets, serial and partitioned, with SIMD kernels on and off;
 //  - every engine result and every deterministic counter must be bitwise-
-//    identical across vectorize on/off, SIMD on/off, batch sizes
-//    {1, 7, 64, 4096}, and 1/2/4 threads, on all five generated datasets;
+//    identical across SIMD on/off, batch sizes {1, 7, 64, 4096}, and 1/2/4
+//    threads, and results must equal the navigational evaluator's;
 //  - operator streams drained via GetNextBatch (any size, or mixed with
-//    GetNext) must equal the node-at-a-time stream byte for byte;
+//    GetNext) must equal the row-at-a-time stream byte for byte;
 //  - mid-batch cancellation: a cell budget tripping at *every* possible
 //    boundary (±1 row around each batch edge) must leave
 //    matches/nl_cells equal to what the consumer actually received — the
@@ -15,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "baseline/navigational.h"
 #include "datagen/datagen.h"
 #include "engine/engine.h"
 #include "exec/exec_stats.h"
@@ -22,7 +26,9 @@
 #include "opt/planner.h"
 #include "pattern/builder.h"
 #include "pattern/decompose.h"
+#include "reference_scan.h"
 #include "util/resource_guard.h"
+#include "util/thread_pool.h"
 #include "workload/queries.h"
 #include "xml/parser.h"
 #include "xpath/parser.h"
@@ -40,12 +46,10 @@ struct EngineRun {
 };
 
 EngineRun RunEngine(const xml::Document* doc, const xpath::PathExpr& path,
-                    unsigned threads, bool vectorize, bool simd,
-                    size_t batch_rows) {
+                    unsigned threads, bool simd, size_t batch_rows) {
   engine::EngineOptions o;
   o.num_threads = threads;
   o.collect_profile = true;
-  o.plan.exec.vectorize = vectorize;
   o.plan.exec.simd = simd;
   o.plan.exec.batch_rows = batch_rows;
   engine::BlossomTreeEngine eng(doc, o);
@@ -66,31 +70,96 @@ TEST(BatchExecTest, EngineIdenticalAcrossBatchSimdAndThreads) {
     for (const workload::QuerySpec& q : workload::QueriesFor(ds)) {
       auto path = xpath::ParsePath(q.xpath);
       ASSERT_TRUE(path.ok()) << q.xpath;
-      // Reference: the node-at-a-time scalar path, serial.
-      EngineRun ref = RunEngine(doc.get(), *path, 1, false, false, 64);
-      auto check = [&](unsigned threads, bool vec, bool simd, size_t rows) {
-        EngineRun got = RunEngine(doc.get(), *path, threads, vec, simd, rows);
+      // Reference: the serial default configuration, whose results must
+      // also agree with the navigational evaluator.
+      EngineRun ref = RunEngine(doc.get(), *path, 1, true, 64);
+      baseline::NavigationalEvaluator nav(doc.get());
+      auto nav_result = nav.EvaluatePath(*path);
+      ASSERT_TRUE(nav_result.ok()) << q.xpath;
+      EXPECT_EQ(ref.result, *nav_result) << q.xpath;
+      auto check = [&](unsigned threads, bool simd, size_t rows) {
+        EngineRun got = RunEngine(doc.get(), *path, threads, simd, rows);
         EXPECT_EQ(got.result, ref.result)
-            << q.xpath << " threads=" << threads << " vectorize=" << vec
-            << " simd=" << simd << " batch_rows=" << rows;
+            << q.xpath << " threads=" << threads << " simd=" << simd
+            << " batch_rows=" << rows;
         EXPECT_EQ(got.counters, ref.counters)
-            << q.xpath << " threads=" << threads << " vectorize=" << vec
-            << " simd=" << simd << " batch_rows=" << rows;
+            << q.xpath << " threads=" << threads << " simd=" << simd
+            << " batch_rows=" << rows;
       };
-      // Batch-size sweep on the vectorized serial path.
-      for (size_t rows : {1u, 7u, 64u, 4096u}) check(1, true, true, rows);
-      // Thread × kernel cross at the default batch size.
-      for (unsigned threads : {1u, 2u, 4u}) {
-        check(threads, true, true, 64);
-        check(threads, true, false, 64);
-        check(threads, false, false, 64);
+      for (size_t rows : {1u, 7u, 64u, 4096u}) {
+        for (bool simd : {true, false}) {
+          for (unsigned threads : {1u, 2u, 4u}) check(threads, simd, rows);
+        }
       }
     }
   }
 }
 
-std::string DrainNodeAtATime(NestedListOperator* op,
-                             const xml::Document& doc) {
+std::string ToLines(const std::vector<NestedList>& lists,
+                    const xml::Document& doc) {
+  OccurrenceLabeler label(&doc);
+  std::string out;
+  for (const NestedList& nl : lists) {
+    out += nestedlist::ToString(nl, label);
+    out += '\n';
+  }
+  return out;
+}
+
+TEST(BatchExecTest, NokStreamsAndCountersMatchReferenceScan) {
+  // The engine's one scan driver — chunked, SIMD-prefiltered, filled lazily
+  // or as partitions — against the plain per-node loop, for every NoK of
+  // every workload query over the whole document and over a restricted
+  // middle third (the BNLJ inner side's lazy path): same stream, same nodes
+  // scanned, comparisons, matches and cells.
+  util::ThreadPool pool(4);
+  util::ThreadPool* pools[] = {nullptr, &pool};
+  for (datagen::Dataset ds : datagen::AllDatasets()) {
+    datagen::GenOptions o;
+    o.scale = 0.02;
+    o.seed = 7;
+    auto doc = datagen::GenerateDataset(ds, o);
+    const xml::NodeId last = static_cast<xml::NodeId>(doc->NumNodes() - 1);
+    const xml::NodeId ranges[][2] = {{0, last}, {last / 3, 2 * (last / 3)}};
+    for (const workload::QuerySpec& q : workload::QueriesFor(ds)) {
+      auto path = xpath::ParsePath(q.xpath);
+      ASSERT_TRUE(path.ok()) << q.xpath;
+      auto tree = pattern::BuildFromPath(*path);
+      ASSERT_TRUE(tree.ok()) << q.xpath;
+      pattern::Decomposition d = pattern::Decompose(*tree);
+      for (size_t nok = 0; nok < d.noks.size(); ++nok) {
+        for (const auto& range : ranges) {
+          bench::ReferenceScan ref = bench::RunReferenceScan(
+              *doc, *tree, d.noks[nok], range[0], range[1]);
+          std::string expected = ToLines(ref.matches, *doc);
+          for (util::ThreadPool* p : pools) {
+            for (bool simd : {true, false}) {
+              ExecOptions eo;
+              eo.simd = simd;
+              NokScanOperator scan(doc.get(), &*tree, &d.noks[nok], p,
+                                   nullptr, nullptr, nullptr, eo);
+              scan.Restrict(range[0], range[1]);
+              std::string where = q.xpath + " nok=" + std::to_string(nok) +
+                                  " range=[" + std::to_string(range[0]) +
+                                  "," + std::to_string(range[1]) +
+                                  "] pool=" + (p ? "4" : "none") +
+                                  " simd=" + (simd ? "1" : "0");
+              EXPECT_EQ(ToLines(Drain(&scan), *doc), expected) << where;
+              ExecStats s = scan.Stats();
+              EXPECT_EQ(s.nodes_scanned, ref.nodes_scanned) << where;
+              EXPECT_EQ(s.comparisons, ref.comparisons) << where;
+              EXPECT_EQ(s.matches, ref.matches.size()) << where;
+              EXPECT_EQ(s.nl_cells, ref.nl_cells) << where;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+std::string DrainRowAtATime(NestedListOperator* op,
+                           const xml::Document& doc) {
   OccurrenceLabeler label(&doc);
   std::string out;
   NestedList nl;
@@ -117,16 +186,16 @@ std::string DrainBatched(NestedListOperator* op, const xml::Document& doc,
   return out;
 }
 
-opt::PlanOptions VectorizedPlan(util::ResourceGuard* guard = nullptr) {
+opt::PlanOptions PipelinedPlan(util::ResourceGuard* guard = nullptr) {
   opt::PlanOptions po;
   po.strategy = opt::JoinStrategy::kPipelined;
   po.guard = guard;
   return po;
 }
 
-TEST(BatchExecTest, PlanRootBatchedStreamEqualsNodeAtATime) {
+TEST(BatchExecTest, PlanRootBatchedStreamEqualsRowAtATime) {
   // A scan → pipelined-//-join chain over a generated document, drained
-  // through the plan root: the batch sizes of satellite (d) plus a mixed
+  // through the plan root: batch sizes {1, 7, 64, 4096} plus a mixed
   // GetNext/GetNextBatch drain must all reproduce the reference stream.
   datagen::GenOptions o;
   o.scale = 0.02;
@@ -137,16 +206,16 @@ TEST(BatchExecTest, PlanRootBatchedStreamEqualsNodeAtATime) {
     ASSERT_TRUE(path.ok()) << q;
     auto tree = pattern::BuildFromPath(*path);
     ASSERT_TRUE(tree.ok()) << q;
-    auto ref_plan = opt::PlanQuery(doc.get(), &*tree, VectorizedPlan());
+    auto ref_plan = opt::PlanQuery(doc.get(), &*tree, PipelinedPlan());
     ASSERT_TRUE(ref_plan.ok()) << q;
     ASSERT_EQ(ref_plan->trees.size(), 1u);
     std::string expected =
-        DrainNodeAtATime(ref_plan->trees[0].root.get(), *doc);
+        DrainRowAtATime(ref_plan->trees[0].root.get(), *doc);
     ref_plan->FinishAll();
     std::string expected_counters =
         ref_plan->trees[0].root->Stats().Counters();
     for (size_t rows : {1u, 7u, 64u, 4096u}) {
-      auto plan = opt::PlanQuery(doc.get(), &*tree, VectorizedPlan());
+      auto plan = opt::PlanQuery(doc.get(), &*tree, PipelinedPlan());
       ASSERT_TRUE(plan.ok());
       EXPECT_EQ(DrainBatched(plan->trees[0].root.get(), *doc, rows),
                 expected)
@@ -157,7 +226,7 @@ TEST(BatchExecTest, PlanRootBatchedStreamEqualsNodeAtATime) {
     }
     // Mixed drain: one row, then one batch, alternating — both entry
     // points advance the same cursor.
-    auto plan = opt::PlanQuery(doc.get(), &*tree, VectorizedPlan());
+    auto plan = opt::PlanQuery(doc.get(), &*tree, PipelinedPlan());
     ASSERT_TRUE(plan.ok());
     NestedListOperator* root = plan->trees[0].root.get();
     OccurrenceLabeler label(doc.get());
@@ -178,7 +247,7 @@ TEST(BatchExecTest, PlanRootBatchedStreamEqualsNodeAtATime) {
   }
 }
 
-TEST(BatchExecTest, NokScanBatchedStreamEqualsNodeAtATime) {
+TEST(BatchExecTest, NokScanBatchedStreamEqualsRowAtATime) {
   auto doc = xml::ParseDocument(
                  "<r><a><b/><c/></a><a><b/></a><x/><a><c/><b/><b/></a>"
                  "<a><a><b/></a></a></r>")
@@ -189,7 +258,7 @@ TEST(BatchExecTest, NokScanBatchedStreamEqualsNodeAtATime) {
   pattern::Decomposition d = pattern::Decompose(*tree);
   for (size_t nok = 0; nok < d.noks.size(); ++nok) {
     NokScanOperator ref(doc.get(), &*tree, &d.noks[nok]);
-    std::string expected = DrainNodeAtATime(&ref, *doc);
+    std::string expected = DrainRowAtATime(&ref, *doc);
     for (size_t rows : {1u, 7u, 64u, 4096u}) {
       NokScanOperator scan(doc.get(), &*tree, &d.noks[nok]);
       EXPECT_EQ(DrainBatched(&scan, *doc, rows), expected)
@@ -201,7 +270,7 @@ TEST(BatchExecTest, NokScanBatchedStreamEqualsNodeAtATime) {
   }
 }
 
-// -- Satellite (a): stats under mid-batch budget trips ------------------------
+// -- Stats under mid-batch budget trips -------------------------------------
 
 /// Drains the plan root batched under `guard`, returning what the consumer
 /// actually received.
@@ -241,45 +310,39 @@ TEST(BatchExecTest, StatsMatchDeliveryAtEveryCancellationPoint) {
   // not just the root's delivered cells.
   util::ResourceGuard unlimited;
   unlimited.Arm();
-  auto full = opt::PlanQuery(doc.get(), &*tree, VectorizedPlan(&unlimited));
+  auto full = opt::PlanQuery(doc.get(), &*tree, PipelinedPlan(&unlimited));
   ASSERT_TRUE(full.ok());
   GovernedDrain total = DrainGoverned(full->trees[0].root.get(), 64);
   ASSERT_GT(total.rows, 4u);
   const uint64_t total_charge = unlimited.CellsCharged();
   ASSERT_GE(total_charge, total.cells);
 
-  for (bool vectorize : {true, false}) {
-    for (size_t batch_rows : {1u, 7u, 64u}) {
-      for (uint64_t budget = 0; budget <= total_charge; ++budget) {
-        util::QueryLimits limits;
-        limits.max_nl_cells = budget;
-        util::ResourceGuard guard(limits);
-        guard.Arm();
-        opt::PlanOptions po = VectorizedPlan(&guard);
-        po.exec.vectorize = vectorize;
-        auto plan = opt::PlanQuery(doc.get(), &*tree, po);
-        ASSERT_TRUE(plan.ok());
-        NestedListOperator* root = plan->trees[0].root.get();
-        GovernedDrain got = DrainGoverned(root, batch_rows);
-        EXPECT_LE(got.cells, budget);
-        EXPECT_EQ(guard.Tripped(), budget < total_charge)
-            << "budget=" << budget;
-        // Finish() on a tripped plan must be safe and must not inflate the
-        // handout counters past what was delivered.
-        plan->FinishAll();
-        ExecStats s = plan->trees[0].root->Stats();
-        EXPECT_EQ(s.matches, got.rows)
-            << "vectorize=" << vectorize << " batch_rows=" << batch_rows
-            << " budget=" << budget;
-        EXPECT_EQ(s.nl_cells, got.cells)
-            << "vectorize=" << vectorize << " batch_rows=" << batch_rows
-            << " budget=" << budget;
-        if (budget < total_charge) {
-          EXPECT_EQ(guard.status().code(), StatusCode::kResourceExhausted);
-        } else {
-          EXPECT_EQ(got.rows, total.rows);
-          EXPECT_TRUE(guard.status().ok());
-        }
+  for (size_t batch_rows : {1u, 7u, 64u}) {
+    for (uint64_t budget = 0; budget <= total_charge; ++budget) {
+      util::QueryLimits limits;
+      limits.max_nl_cells = budget;
+      util::ResourceGuard guard(limits);
+      guard.Arm();
+      auto plan = opt::PlanQuery(doc.get(), &*tree, PipelinedPlan(&guard));
+      ASSERT_TRUE(plan.ok());
+      NestedListOperator* root = plan->trees[0].root.get();
+      GovernedDrain got = DrainGoverned(root, batch_rows);
+      EXPECT_LE(got.cells, budget);
+      EXPECT_EQ(guard.Tripped(), budget < total_charge)
+          << "budget=" << budget;
+      // Finish() on a tripped plan must be safe and must not inflate the
+      // handout counters past what was delivered.
+      plan->FinishAll();
+      ExecStats s = plan->trees[0].root->Stats();
+      EXPECT_EQ(s.matches, got.rows)
+          << "batch_rows=" << batch_rows << " budget=" << budget;
+      EXPECT_EQ(s.nl_cells, got.cells)
+          << "batch_rows=" << batch_rows << " budget=" << budget;
+      if (budget < total_charge) {
+        EXPECT_EQ(guard.status().code(), StatusCode::kResourceExhausted);
+      } else {
+        EXPECT_EQ(got.rows, total.rows);
+        EXPECT_TRUE(guard.status().ok());
       }
     }
   }
@@ -287,8 +350,8 @@ TEST(BatchExecTest, StatsMatchDeliveryAtEveryCancellationPoint) {
 
 TEST(BatchExecTest, ScanStatsMatchDeliveryUnderRowBudgetTrips) {
   // The same audit at the leaf: a bare NokScanOperator under cell budgets
-  // tripping on every row, on both the vectorized chunk driver and the
-  // node-at-a-time reference loop.
+  // tripping on every row, filling its buffer lazily (no pool) and as
+  // partitions (a pool).
   auto doc = xml::ParseDocument(
                  "<r><a/><b/><a/><a/><c/><a/><a/><a/><b/><a/></r>")
                  .MoveValue();
@@ -304,21 +367,20 @@ TEST(BatchExecTest, ScanStatsMatchDeliveryUnderRowBudgetTrips) {
   while (ungoverned.GetNext(&nl)) total += CountCells(nl);
   ASSERT_GT(total, 0u);
 
-  for (bool vectorize : {true, false}) {
-    ExecOptions eo;
-    eo.vectorize = vectorize;
+  util::ThreadPool pool(2);
+  util::ThreadPool* pools[] = {nullptr, &pool};
+  for (util::ThreadPool* p : pools) {
     for (uint64_t budget = 0; budget <= total; ++budget) {
       util::QueryLimits limits;
       limits.max_nl_cells = budget;
       util::ResourceGuard guard(limits);
       guard.Arm();
-      NokScanOperator scan(doc.get(), &*tree, nok, nullptr, &guard, nullptr,
-                           nullptr, eo);
+      NokScanOperator scan(doc.get(), &*tree, nok, p, &guard);
       GovernedDrain got = DrainGoverned(&scan, 3);
       EXPECT_EQ(scan.Stats().matches, got.rows)
-          << "vectorize=" << vectorize << " budget=" << budget;
+          << "pool=" << (p != nullptr) << " budget=" << budget;
       EXPECT_EQ(scan.Stats().nl_cells, got.cells)
-          << "vectorize=" << vectorize << " budget=" << budget;
+          << "pool=" << (p != nullptr) << " budget=" << budget;
       EXPECT_EQ(guard.Tripped(), budget < total);
     }
   }

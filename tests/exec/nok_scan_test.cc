@@ -266,13 +266,13 @@ TEST(NokScanTest, AttributeValueConstraint) {
   EXPECT_EQ(v, "2");
 }
 
-TEST(NokScanTest, SetRangeBoundsTheScan) {
+TEST(NokScanTest, RestrictBoundsTheScan) {
   auto doc = Parse("<r><a><b/></a><a><b/></a></r>");
   BlossomTree t = Example3Pattern();
   Decomposition d = Decompose(t);
   NokScanOperator scan(doc.get(), &t, &d.noks[0]);
   // Restrict to the second a's subtree (nodes 3..4).
-  scan.SetRange(3, 4);
+  scan.Restrict(3, 4);
   NestedList out;
   ASSERT_TRUE(scan.GetNext(&out));
   auto as = nestedlist::Project(t, scan.top_slots(), out, 0);

@@ -92,10 +92,10 @@ TEST(ParallelNokScanTest, RestrictedRangeStaysSerialAndCorrect) {
   // Restrict to the second <a> subtree (nodes 3..5): the BNLJ inner path.
   size_t nok_index = d.noks.size() - 1;
   NokScanOperator sref(doc.get(), &*tree, &d.noks[nok_index]);
-  sref.SetRange(3, 5);
+  sref.Restrict(3, 5);
   std::string expected = DrainToString(&sref, *doc);
   NokScanOperator par(doc.get(), &*tree, &d.noks[nok_index], &pool);
-  par.SetRange(3, 5);
+  par.Restrict(3, 5);
   EXPECT_EQ(par.PartitionsUsed(), 0u);
   EXPECT_EQ(DrainToString(&par, *doc), expected);
   EXPECT_EQ(par.PartitionsUsed(), 0u);  // Serial path: no partitions.
