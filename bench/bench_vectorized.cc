@@ -11,7 +11,10 @@
 //      — kernels filter, they never tick a counter — and the plan's scans
 //      visit exactly the nodes the reference scan does.
 //   3. Throughput: on the scan-bound queries the engine's serial path must
-//      clear >= 4x the reference scan in scanned nodes/sec.
+//      clear >= 4x the reference scan in scanned nodes/sec. Each side is
+//      timed per scan, from samples that alternate reference and engine
+//      scans until each side sums to >= 20 ms; the best of --runs samples
+//      counts.
 //
 // Exit status is non-zero on any violation. The BENCH_vectorized.json
 // artifact pins the per-operator work counters of the vectorized plans, so
@@ -20,7 +23,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_profile.h"
@@ -66,6 +71,27 @@ constexpr QueryCase kQueries[] = {
     {"v3", "//article/title", false},
     {"v4", "//inproceedings//author", false},
 };
+
+/// One timing sample covers at least this long per side: a single scan
+/// here takes 0.1-0.4 ms, well inside timer and scheduler noise on a shared
+/// machine.
+constexpr double kMinSampleSeconds = 0.02;
+
+/// Seconds per call of `a` and of `b`, from one sample that alternates
+/// their calls until each side's time sums to kMinSampleSeconds or more:
+/// interleaved, both sides see the same machine load.
+std::pair<double, double> SecondsPerCall(const std::function<void()>& a,
+                                         const std::function<void()>& b) {
+  double a_s = 0;
+  double b_s = 0;
+  size_t calls = 0;
+  while (a_s < kMinSampleSeconds || b_s < kMinSampleSeconds) {
+    a_s += TimeSeconds(a);
+    b_s += TimeSeconds(b);
+    ++calls;
+  }
+  return {a_s / static_cast<double>(calls), b_s / static_cast<double>(calls)};
+}
 
 double Median(std::vector<double> xs) {
   std::sort(xs.begin(), xs.end());
@@ -200,17 +226,20 @@ int main(int argc, char** argv) {
     std::vector<double> ref_s;
     std::vector<double> vector_s;
     for (int run = 0; run < flags.runs; ++run) {
-      ref_s.push_back(TimeSeconds([&] {
-        for (const auto* nok : scanned_noks) {
-          RunReferenceScan(*doc, *tree, *nok, 0, last);
-        }
-      }));
-      vector_s.push_back(TimeSeconds([&] {
-        vector_plan->trees[0].root->Rewind();
-        blossomtree::exec::Batch batch;
-        while (vector_plan->trees[0].root->GetNextBatch(&batch, 64) > 0) {
-        }
-      }));
+      auto [ref_call, vector_call] = SecondsPerCall(
+          [&] {
+            for (const auto* nok : scanned_noks) {
+              RunReferenceScan(*doc, *tree, *nok, 0, last);
+            }
+          },
+          [&] {
+            vector_plan->trees[0].root->Rewind();
+            blossomtree::exec::Batch batch;
+            while (vector_plan->trees[0].root->GetNextBatch(&batch, 64) > 0) {
+            }
+          });
+      ref_s.push_back(ref_call);
+      vector_s.push_back(vector_call);
     }
     double rbest = *std::min_element(ref_s.begin(), ref_s.end());
     double vbest = *std::min_element(vector_s.begin(), vector_s.end());

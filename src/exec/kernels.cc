@@ -51,13 +51,6 @@ KernelBackend EffectiveKernelBackend(bool allow_simd) {
 
 namespace {
 
-void FilterTagEqScalar(const xml::TagId* tags, size_t n, xml::TagId target,
-                       xml::NodeId base, std::vector<xml::NodeId>* out) {
-  for (size_t i = 0; i < n; ++i) {
-    if (tags[i] == target) out->push_back(base + static_cast<xml::NodeId>(i));
-  }
-}
-
 void FilterTagEqRecordsScalar(const xml::PackedNodeRecord* records, size_t n,
                               xml::TagId target, xml::NodeId base,
                               std::vector<xml::NodeId>* out) {
@@ -75,70 +68,40 @@ void FilterTagEqRecordsScalar(const xml::PackedNodeRecord* records, size_t n,
 
 #if defined(BLOSSOMTREE_KERNELS_SSE2)
 
-void FilterTagEqSse2(const xml::TagId* tags, size_t n, xml::TagId target,
-                     xml::NodeId base, std::vector<xml::NodeId>* out) {
-  const __m128i want = _mm_set1_epi32(static_cast<int>(target));
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(tags + i));
-    int mask = _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(v, want)));
-    while (mask != 0) {
-      int bit = __builtin_ctz(static_cast<unsigned>(mask));
-      out->push_back(base + static_cast<xml::NodeId>(i + bit));
-      mask &= mask - 1;
-    }
-  }
-  FilterTagEqScalar(tags + i, n - i, target,
-                    base + static_cast<xml::NodeId>(i), out);
-}
-
 void FilterTagEqRecordsSse2(const xml::PackedNodeRecord* records, size_t n,
                             xml::TagId target, xml::NodeId base,
                             std::vector<xml::NodeId>* out) {
   const __m128i want = _mm_set1_epi32(static_cast<int>(target));
   const char* p = reinterpret_cast<const char*>(records);
+  auto eq = [&](size_t k) {
+    return _mm_cmpeq_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 16 * k)), want);
+  };
   size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    // Four unaligned 16-byte record loads; unpack gathers the four lane-0
-    // tag ids into one vector: [t0 t1 | e0 e1] ∪ [t2 t3 | e2 e3] → tags.
-    __m128i r0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-    __m128i r1 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 16));
-    __m128i r2 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 32));
-    __m128i r3 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 48));
-    __m128i lo01 = _mm_unpacklo_epi32(r0, r1);
-    __m128i lo23 = _mm_unpacklo_epi32(r2, r3);
-    __m128i tags = _mm_unpacklo_epi64(lo01, lo23);
-    int mask = _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(tags, want)));
+  for (; i + 8 <= n; i += 8) {
+    // Eight unaligned 16-byte record loads compared whole; two rounds of
+    // saturating packs narrow the eight lane masks to bytes, so byte 4k of
+    // the 32-bit movemask is record k's tag lane (the other lanes compare
+    // subtree_end/level/text_ref and are masked off).
+    __m128i lo = _mm_packs_epi16(_mm_packs_epi32(eq(0), eq(1)),
+                                 _mm_packs_epi32(eq(2), eq(3)));
+    __m128i hi = _mm_packs_epi16(_mm_packs_epi32(eq(4), eq(5)),
+                                 _mm_packs_epi32(eq(6), eq(7)));
+    uint32_t mask = (static_cast<uint32_t>(_mm_movemask_epi8(lo)) |
+                     static_cast<uint32_t>(_mm_movemask_epi8(hi)) << 16) &
+                    0x11111111u;
     while (mask != 0) {
-      int bit = __builtin_ctz(static_cast<unsigned>(mask));
-      out->push_back(base + static_cast<xml::NodeId>(i + bit));
+      int bit = __builtin_ctz(mask);
+      out->push_back(base + static_cast<xml::NodeId>(i + (bit >> 2)));
       mask &= mask - 1;
     }
-    p += 4 * sizeof(xml::PackedNodeRecord);
+    p += 8 * sizeof(xml::PackedNodeRecord);
   }
   FilterTagEqRecordsScalar(records + i, n - i, target,
                            base + static_cast<xml::NodeId>(i), out);
 }
 
 #elif defined(BLOSSOMTREE_KERNELS_NEON)
-
-void FilterTagEqNeon(const xml::TagId* tags, size_t n, xml::TagId target,
-                     xml::NodeId base, std::vector<xml::NodeId>* out) {
-  const uint32x4_t want = vdupq_n_u32(target);
-  size_t i = 0;
-  uint32_t lanes[4];
-  for (; i + 4 <= n; i += 4) {
-    uint32x4_t eq = vceqq_u32(vld1q_u32(tags + i), want);
-    vst1q_u32(lanes, eq);
-    for (int bit = 0; bit < 4; ++bit) {
-      if (lanes[bit] != 0) {
-        out->push_back(base + static_cast<xml::NodeId>(i + bit));
-      }
-    }
-  }
-  FilterTagEqScalar(tags + i, n - i, target,
-                    base + static_cast<xml::NodeId>(i), out);
-}
 
 void FilterTagEqRecordsNeon(const xml::PackedNodeRecord* records, size_t n,
                             xml::TagId target, xml::NodeId base,
@@ -165,25 +128,6 @@ void FilterTagEqRecordsNeon(const xml::PackedNodeRecord* records, size_t n,
 #endif
 
 }  // namespace
-
-void FilterTagEq(const xml::TagId* tags, size_t n, xml::TagId target,
-                 xml::NodeId base, bool allow_simd,
-                 std::vector<xml::NodeId>* out) {
-  switch (EffectiveKernelBackend(allow_simd)) {
-#if defined(BLOSSOMTREE_KERNELS_SSE2)
-    case KernelBackend::kSse2:
-      FilterTagEqSse2(tags, n, target, base, out);
-      return;
-#elif defined(BLOSSOMTREE_KERNELS_NEON)
-    case KernelBackend::kNeon:
-      FilterTagEqNeon(tags, n, target, base, out);
-      return;
-#endif
-    default:
-      FilterTagEqScalar(tags, n, target, base, out);
-      return;
-  }
-}
 
 void FilterTagEqRecords(const xml::PackedNodeRecord* records, size_t n,
                         xml::TagId target, xml::NodeId base, bool allow_simd,

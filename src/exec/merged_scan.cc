@@ -78,13 +78,8 @@ void MergedNokScan::Run() {
     for (xml::TagId t = 0; t < by_tag.size() && !tripped; ++t) {
       if (by_tag[t].empty()) continue;
       candidates.clear();
-      if (const xml::PackedNodeRecord* recs = doc_->ExternalRecords()) {
-        FilterTagEqRecords(recs, doc_->NumNodes(), t, 0, exec_.simd,
-                           &candidates);
-      } else {
-        FilterTagEq(doc_->TagArray(), doc_->NumNodes(), t, 0, exec_.simd,
-                    &candidates);
-      }
+      FilterTagEqRecords(doc_->Records().data(), doc_->NumNodes(), t, 0,
+                         exec_.simd, &candidates);
       for (xml::NodeId x : candidates) {
         if (guard_ != nullptr &&
             (guard_->Tripped() ||

@@ -69,6 +69,7 @@ NokMatcher::NokMatcher(const xml::Document* doc,
     }
   }
   top_slots_ = locals_[0].next_slots;
+  scratch_.resize(locals_.size());
 }
 
 bool NokMatcher::TagOk(const pattern::Vertex& v, xml::NodeId x) const {
@@ -103,7 +104,7 @@ bool NokMatcher::MatchAt(xml::NodeId x, nestedlist::NestedList* out) {
     }
   }
   std::vector<Group> groups;
-  if (!MatchVertex(0, x, &groups)) return false;
+  if (!MatchVertex(0, x, 0, &groups)) return false;
   out->tops = std::move(groups);
   return true;
 }
@@ -125,7 +126,7 @@ void AppendGroup(Group* src, Group* dst) {
 }  // namespace
 
 bool NokMatcher::MatchVertex(uint32_t local_index, xml::NodeId x,
-                             std::vector<Group>* out_groups) {
+                             size_t depth, std::vector<Group>* out_groups) {
   ++match_work_;
   // Guard sample (DESIGN.md §9): a full Check (clock + token) every ~1k
   // work units keeps deadline detection prompt even when one match recurses
@@ -141,25 +142,23 @@ bool NokMatcher::MatchVertex(uint32_t local_index, xml::NodeId x,
   // Accumulate matches per local child (each child contributes a fixed
   // number of slot groups). Attribute children are constraints evaluated
   // directly on x.
-  struct ChildAcc {
-    std::vector<Group> groups;
-    int tag_count = 0;  ///< Same-tag siblings seen (positional predicates).
-    bool matched = false;
-  };
   size_t n_children = lv.local_children.size();
-  std::vector<ChildAcc> acc(n_children);
+  std::vector<ChildAcc>& acc = scratch_[depth].acc;
+  std::vector<Group>& sub = scratch_[depth].sub;
+  acc.resize(n_children);
   for (size_t k = 0; k < n_children; ++k) {
+    acc[k].groups.clear();
     acc[k].groups.resize(locals_[lv.local_children[k]].next_slots.size());
+    acc[k].tag_count = 0;
+    acc[k].matched = false;
   }
-
-  std::vector<Group> sub;
   auto try_child = [&](size_t k, xml::NodeId u) {
     const LocalVertex& s = locals_[lv.local_children[k]];
     const pattern::Vertex& sv = tree_->vertex(s.vertex);
     ++match_work_;
     if (!TagOk(sv, u)) return;
     if (sv.position > 0 && ++acc[k].tag_count != sv.position) return;
-    if (!MatchVertex(lv.local_children[k], u, &sub)) return;
+    if (!MatchVertex(lv.local_children[k], u, depth + 1, &sub)) return;
     acc[k].matched = true;
     for (size_t g = 0; g < sub.size(); ++g) {
       AppendGroup(&sub[g], &acc[k].groups[g]);
@@ -279,6 +278,9 @@ NokScanOperator::NokScanOperator(const xml::Document* doc,
     // A tag absent from the document (Lookup -> kNullTag) means zero
     // candidates — the correct answer, since no node can pass TagOk.
     target_tag_ = doc->tags().Lookup(rootv.tag);
+    // Without a value test, RootTest is the tag test the kernel has
+    // already passed; MatchAt re-checks the root's constraints anyway.
+    candidates_pass_root_test_ = !rootv.value;
   }
   Rewind();
 }
@@ -351,27 +353,24 @@ void NokScanOperator::GatherCandidates(xml::NodeId first, xml::NodeId last,
     return;
   }
   if (target_tag_ == xml::kNullTag) return;
-  size_t count = static_cast<size_t>(last - first) + 1;
-  if (const xml::PackedNodeRecord* recs = doc_->ExternalRecords()) {
-    FilterTagEqRecords(recs + first, count, target_tag_, first, exec_.simd,
-                       out);
-  } else {
-    FilterTagEq(doc_->TagArray() + first, count, target_tag_, first,
-                exec_.simd, out);
-  }
+  FilterTagEqRecords(doc_->Records().data() + first,
+                     static_cast<size_t>(last - first) + 1, target_tag_,
+                     first, exec_.simd, out);
 }
 
 bool NokScanOperator::ScanRange(NokMatcher* m, xml::NodeId begin,
                                 xml::NodeId end, storage::ScanCursor* io,
+                                std::vector<xml::NodeId>* candidates,
                                 uint64_t* scanned, uint64_t* vcmps,
                                 std::vector<nestedlist::NestedList>* out)
     const {
   util::ResourceGuard* guard = this->guard();
   nestedlist::NestedList nl;
-  // Appends the match rooted at `c`, if any; false once the guard tripped
-  // (a tripped match's output is garbage and is dropped).
-  auto try_node = [&](xml::NodeId c) {
-    if (m->RootTest(c) && m->MatchAt(c, &nl) &&
+  // Appends the match rooted at `c`, if any (`root_ok`: RootTest is known
+  // to pass); false once the guard tripped (a tripped match's output is
+  // garbage and is dropped).
+  auto try_node = [&](xml::NodeId c, bool root_ok) {
+    if ((root_ok || m->RootTest(c)) && m->MatchAt(c, &nl) &&
         (guard == nullptr || !guard->Tripped())) {
       out->push_back(std::move(nl));
       nl = nestedlist::NestedList();
@@ -382,13 +381,12 @@ bool NokScanOperator::ScanRange(NokMatcher* m, xml::NodeId begin,
   bool ok = true;
   if (virtual_root_) {
     ++*scanned;
-    ok = try_node(kVirtualRootNode);
+    ok = try_node(kVirtualRootNode, false);
   } else {
     size_t total = doc_->NumNodes();
     if (static_cast<size_t>(end) >= total) {
       end = static_cast<xml::NodeId>(total - 1);
     }
-    std::vector<xml::NodeId> candidates;
     for (xml::NodeId x = begin; ok && total > 0 && x <= end;) {
       // Chunk-top guard sample. Check() never mutates a counter, so
       // untripped-run counters do not depend on the cadence; only trip
@@ -403,17 +401,17 @@ bool NokScanOperator::ScanRange(NokMatcher* m, xml::NodeId begin,
       }
       *scanned += chunk_end - x + 1;
       if (kernel_eligible_) {
-        candidates.clear();
-        GatherCandidates(x, chunk_end, io, &candidates);
-        for (size_t i = 0; ok && i < candidates.size(); ++i) {
-          ok = try_node(candidates[i]);
+        candidates->clear();
+        GatherCandidates(x, chunk_end, io, candidates);
+        for (size_t i = 0; ok && i < candidates->size(); ++i) {
+          ok = try_node((*candidates)[i], candidates_pass_root_test_);
         }
       } else {
         // Per-node body for roots the prefilter cannot represent
         // (wildcard / attribute roots).
         for (xml::NodeId c = x; ok && c <= chunk_end; ++c) {
           if (store_ != nullptr) store_->Get(c, io);
-          ok = try_node(c);
+          ok = try_node(c, false);
         }
       }
       if (chunk_end == end) break;
@@ -429,8 +427,8 @@ void NokScanOperator::FillNextChunk() {
   if (end - cursor_ >= kScanChunk) {
     end = cursor_ + static_cast<xml::NodeId>(kScanChunk) - 1;
   }
-  bool ok = ScanRange(&matcher_, cursor_, end, &io_cursor_, &nodes_scanned_,
-                      &value_cmps_, &buf_);
+  bool ok = ScanRange(&matcher_, cursor_, end, &io_cursor_, &candidates_,
+                      &nodes_scanned_, &value_cmps_, &buf_);
   cursor_ = end + 1;
   exhausted_ = !ok || virtual_root_ || end >= range_end_ ||
                static_cast<size_t>(cursor_) >= doc_->NumNodes();
@@ -487,8 +485,9 @@ void NokScanOperator::FillPartitions() {
     // local to this thread, so the aggregate equals the sum of partition
     // read counts at every thread count and interleaving.
     storage::ScanCursor io;
-    ScanRange(&m, parts[i].begin, parts[i].end, &io, &scanned[i], &vcmp[i],
-              &results[i]);
+    std::vector<xml::NodeId> candidates;
+    ScanRange(&m, parts[i].begin, parts[i].end, &io, &candidates, &scanned[i],
+              &vcmp[i], &results[i]);
     work[i] = m.MatchWork();
   };
   if (parallel) {

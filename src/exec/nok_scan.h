@@ -66,9 +66,22 @@ class NokMatcher {
     std::vector<size_t> child_slot_index;
   };
 
+  /// Matches of one local child accumulated by MatchVertex.
+  struct ChildAcc {
+    std::vector<nestedlist::Group> groups;
+    int tag_count = 0;  ///< Same-tag siblings seen (positional predicates).
+    bool matched = false;
+  };
+  /// MatchVertex's working buffers at one recursion depth, kept across
+  /// matches so a match allocates only the groups it returns.
+  struct Scratch {
+    std::vector<ChildAcc> acc;
+    std::vector<nestedlist::Group> sub;
+  };
+
   bool ConstraintsOk(const pattern::Vertex& v, xml::NodeId x) const;
   bool TagOk(const pattern::Vertex& v, xml::NodeId x) const;
-  bool MatchVertex(uint32_t local_index, xml::NodeId x,
+  bool MatchVertex(uint32_t local_index, xml::NodeId x, size_t depth,
                    std::vector<nestedlist::Group>* out_groups);
 
   const xml::Document* doc_;
@@ -76,6 +89,9 @@ class NokMatcher {
   const pattern::NokTree* nok_;
   std::vector<LocalVertex> locals_;  ///< locals_[0] is the NoK root.
   std::vector<pattern::SlotId> top_slots_;
+  /// One per recursion depth; a NoK recurses at most locals_.size() deep,
+  /// so it is sized once and never reallocated under a live frame.
+  std::vector<Scratch> scratch_;
   uint64_t match_work_ = 0;
   util::ResourceGuard* guard_ = nullptr;
 };
@@ -166,13 +182,16 @@ class NokScanOperator : public NestedListOperator {
 
   /// Scans nodes [begin, end] with matcher `m` (the virtual root instead,
   /// as a one-node range, for a "~" NoK), touching `store_` through `io`,
-  /// bulk-counting scanned nodes / value comparisons into *scanned /
-  /// *vcmps and appending matches to *out. The guard is sampled at every
-  /// ≤kScanChunk-node chunk top — Check() never mutates counters, so
-  /// untripped runs keep bitwise-identical counters. Returns false iff the
-  /// guard tripped mid-scan.
+  /// gathering each chunk's kernel candidates into the caller's reusable
+  /// `candidates` buffer, bulk-counting scanned nodes / value comparisons
+  /// into *scanned / *vcmps and appending matches to *out. The guard is
+  /// sampled at every ≤kScanChunk-node chunk top — Check() never mutates
+  /// counters, so untripped runs keep bitwise-identical counters. Returns
+  /// false iff the guard tripped mid-scan.
   bool ScanRange(NokMatcher* m, xml::NodeId begin, xml::NodeId end,
-                 storage::ScanCursor* io, uint64_t* scanned, uint64_t* vcmps,
+                 storage::ScanCursor* io,
+                 std::vector<xml::NodeId>* candidates, uint64_t* scanned,
+                 uint64_t* vcmps,
                  std::vector<nestedlist::NestedList>* out) const;
 
   /// Collects NodeIds in [first, last] whose tag id equals target_tag_
@@ -236,12 +255,17 @@ class NokScanOperator : public NestedListOperator {
   /// `io_cursor_` through it (partitions use private cursors).
   const storage::NodeStore* store_;
   storage::ScanCursor io_cursor_;
+  /// The lazy fill's kernel candidate buffer, kept across chunks.
+  std::vector<xml::NodeId> candidates_;
 
   ExecOptions exec_;
   /// Root tag id for kernel candidate prefiltering; kNullTag when the tag
   /// is absent from the document (zero candidates, matching a per-node
   /// scan's zero matches).
   xml::TagId target_tag_ = xml::kNullTag;
+  /// True when a kernel candidate needs no RootTest: the root is a plain
+  /// tag test, which the candidate's tag id already passed.
+  bool candidates_pass_root_test_ = false;
   /// Prefiltering is sound only for a concrete element root: wildcard and
   /// attribute roots run the per-node loop inside each chunk.
   bool kernel_eligible_ = false;

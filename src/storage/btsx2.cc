@@ -57,8 +57,8 @@ Status Corrupt(const std::string& what) {
 
 }  // namespace
 
-xml::ExternalLayout Btsx2View::ToLayout() const {
-  xml::ExternalLayout layout;
+xml::NodeLayout Btsx2View::ToLayout() const {
+  xml::NodeLayout layout;
   layout.num_nodes = static_cast<size_t>(num_nodes);
   layout.records = records;
   layout.parent = parent;
@@ -82,99 +82,53 @@ xml::ExternalLayout Btsx2View::ToLayout() const {
 }
 
 Result<std::string> EncodeBtsx2(const xml::Document& doc) {
+  if constexpr (std::endian::native != std::endian::little) {
+    return Status::Unsupported(
+        "BTSX2: writing the layout's arrays requires a little-endian host");
+  }
   if (doc.generation() == 0) {
     return Status::InvalidArgument(
         "BTSX2: document must be Finish()ed before encoding");
   }
-  const size_t num_nodes = doc.NumNodes();
-  if (num_nodes >= static_cast<size_t>(kU32Max)) {
+  const xml::NodeLayout& l = doc.Layout();
+  if (l.num_nodes >= static_cast<size_t>(kU32Max)) {
     return Status::InvalidArgument("BTSX2: too many nodes for 32-bit ids");
   }
+  if (l.text_pool_bytes > static_cast<size_t>(kU32Max)) {
+    return Status::InvalidArgument("BTSX2: text pool exceeds 32-bit offsets");
+  }
 
-  // Section bodies, assembled in one document-order pass. The text pool
-  // interleaves text-node payloads with attribute strings; offsets are
-  // recorded as the pool grows, so everything stays a single pass.
+  // Every section but the tag dictionary is one of the document's layout
+  // arrays, written as it is.
   std::string tag_dict;
-  for (xml::TagId t = 0; t < doc.tags().size(); ++t) {
+  const size_t num_tags = doc.tags().size();
+  for (xml::TagId t = 0; t < num_tags; ++t) {
     const std::string& name = doc.tags().Name(t);
     PutU32(&tag_dict, static_cast<uint32_t>(name.size()));
     tag_dict.append(name);
   }
-
-  std::string records;
-  std::string parent;
-  std::string text_spans;
-  std::string text_pool;
-  std::string attr_owners;
-  std::string attrs;
-  uint32_t num_text_spans = 0;
-  uint32_t num_attrs = 0;
-  uint32_t num_attr_owners = 0;
-  for (xml::NodeId n = 0; n < num_nodes; ++n) {
-    bool elem = doc.IsElement(n);
-    uint32_t text_ref = kU32Max;
-    if (!elem) {
-      std::string_view text = doc.Text(n);
-      text_ref = num_text_spans++;
-      PutU32(&text_spans, static_cast<uint32_t>(text_pool.size()));
-      PutU32(&text_spans, static_cast<uint32_t>(text.size()));
-      text_pool.append(text);
-    }
-    PutU32(&records, elem ? doc.Tag(n) : xml::kNullTag);
-    PutU32(&records, doc.SubtreeEnd(n));
-    PutU32(&records, doc.Level(n));
-    PutU32(&records, text_ref);
-    PutU32(&parent, doc.Parent(n));
-    if (elem) {
-      auto node_attrs = doc.Attributes(n);
-      if (!node_attrs.empty()) {
-        ++num_attr_owners;
-        PutU32(&attr_owners, n);
-        PutU32(&attr_owners, num_attrs);
-        PutU32(&attr_owners,
-               num_attrs + static_cast<uint32_t>(node_attrs.size()));
-        for (const auto& [name, value] : node_attrs) {
-          PutU32(&attrs, static_cast<uint32_t>(text_pool.size()));
-          PutU32(&attrs, static_cast<uint32_t>(name.size()));
-          text_pool.append(name);
-          PutU32(&attrs, static_cast<uint32_t>(text_pool.size()));
-          PutU32(&attrs, static_cast<uint32_t>(value.size()));
-          text_pool.append(value);
-          ++num_attrs;
-        }
-      }
-    }
-    if (text_pool.size() > static_cast<size_t>(kU32Max)) {
-      return Status::InvalidArgument(
-          "BTSX2: text pool exceeds 32-bit offsets");
-    }
-  }
-
-  std::string tag_recursion;
-  std::string tag_stream_offsets;
-  std::string tag_streams;
-  uint64_t stream_off = 0;
-  PutU64(&tag_stream_offsets, 0);
-  for (xml::TagId t = 0; t < doc.tags().size(); ++t) {
-    PutU32(&tag_recursion, doc.TagRecursionDegree(t));
-    auto index = doc.TagIndex(t);
-    for (xml::NodeId n : index) PutU32(&tag_streams, n);
-    stream_off += index.size();
-    PutU64(&tag_stream_offsets, stream_off);
-  }
+  auto bytes = [](const void* p, size_t n) {
+    return std::string_view(static_cast<const char*>(p), n);
+  };
+  const std::string_view sections[kBtsx2NumSections] = {
+      tag_dict,
+      bytes(l.records, l.num_nodes * sizeof(xml::PackedNodeRecord)),
+      bytes(l.parent, l.num_nodes * sizeof(xml::NodeId)),
+      bytes(l.text_spans, l.num_text_spans * sizeof(xml::TextSpan)),
+      bytes(l.text_pool, l.text_pool_bytes),
+      bytes(l.attr_owners, l.num_attr_owners * sizeof(xml::AttrOwner)),
+      bytes(l.attrs, l.num_attrs * sizeof(xml::Attribute)),
+      bytes(l.tag_recursion, num_tags * sizeof(uint32_t)),
+      bytes(l.tag_stream_offsets, (num_tags + 1) * sizeof(uint64_t)),
+      bytes(l.tag_streams, l.num_elements * sizeof(xml::NodeId))};
 
   // Lay the sections out 16-byte aligned and assemble the header.
-  const std::string* sections[kBtsx2NumSections] = {
-      &tag_dict, &records,      &parent,
-      &text_spans, &text_pool,  &attr_owners,
-      &attrs,    &tag_recursion, &tag_stream_offsets,
-      &tag_streams};
   uint64_t offsets[kBtsx2NumSections];
   uint64_t pos = kBtsx2HeaderBytes;
   for (size_t i = 0; i < kBtsx2NumSections; ++i) {
     pos = Align16(pos);
     offsets[i] = pos;
-    pos += sections[i]->size();
+    pos += sections[i].size();
   }
 
   std::string out;
@@ -183,23 +137,23 @@ Result<std::string> EncodeBtsx2(const xml::Document& doc) {
   PutU32(&out, kBtsx2Version);
   PutU32(&out, kBtsx2EndianProbe);
   PutU64(&out, doc.generation());
-  PutU64(&out, num_nodes);
-  PutU64(&out, doc.NumElements());
-  PutU64(&out, doc.tags().size());
-  PutU64(&out, num_text_spans);
-  PutU64(&out, num_attr_owners);
-  PutU64(&out, num_attrs);
-  PutU32(&out, doc.MaxDepth());
-  PutU32(&out, doc.MaxRecursionDegree());
-  PutF64(&out, doc.AvgDepth());
+  PutU64(&out, l.num_nodes);
+  PutU64(&out, l.num_elements);
+  PutU64(&out, num_tags);
+  PutU64(&out, l.num_text_spans);
+  PutU64(&out, l.num_attr_owners);
+  PutU64(&out, l.num_attrs);
+  PutU32(&out, l.max_depth);
+  PutU32(&out, l.max_recursion);
+  PutF64(&out, l.avg_depth);
   for (size_t i = 0; i < kBtsx2NumSections; ++i) {
     PutU64(&out, offsets[i]);
-    PutU64(&out, sections[i]->size());
+    PutU64(&out, sections[i].size());
   }
   out.resize(kBtsx2HeaderBytes, '\0');
   for (size_t i = 0; i < kBtsx2NumSections; ++i) {
     out.resize(static_cast<size_t>(offsets[i]), '\0');
-    out.append(*sections[i]);
+    out.append(sections[i]);
   }
   return out;
 }
@@ -282,9 +236,9 @@ Result<Btsx2View> MapBtsx2(std::string_view image) {
       sizes[kSecTagDict],  // free-form, validated by parsing below
       view.num_nodes * sizeof(xml::PackedNodeRecord),
       view.num_nodes * sizeof(xml::NodeId),
-      view.num_text_spans * sizeof(xml::ExternalTextSpan),
+      view.num_text_spans * sizeof(xml::TextSpan),
       sizes[kSecTextPool],  // free-form
-      view.num_attr_owners * sizeof(xml::ExternalAttrOwner),
+      view.num_attr_owners * sizeof(xml::AttrOwner),
       view.num_attrs * sizeof(xml::Attribute),
       view.num_tags * sizeof(uint32_t),
       (view.num_tags + 1) * sizeof(uint64_t),
@@ -325,11 +279,11 @@ Result<Btsx2View> MapBtsx2(std::string_view image) {
       reinterpret_cast<const xml::PackedNodeRecord*>(p + offs[kSecRecords]);
   view.parent = reinterpret_cast<const xml::NodeId*>(p + offs[kSecParent]);
   view.text_spans =
-      reinterpret_cast<const xml::ExternalTextSpan*>(p + offs[kSecTextSpans]);
+      reinterpret_cast<const xml::TextSpan*>(p + offs[kSecTextSpans]);
   view.text_pool = p + offs[kSecTextPool];
   view.text_pool_bytes = sizes[kSecTextPool];
   view.attr_owners =
-      reinterpret_cast<const xml::ExternalAttrOwner*>(p + offs[kSecAttrOwners]);
+      reinterpret_cast<const xml::AttrOwner*>(p + offs[kSecAttrOwners]);
   view.attrs = reinterpret_cast<const xml::Attribute*>(p + offs[kSecAttrs]);
   view.tag_recursion =
       reinterpret_cast<const uint32_t*>(p + offs[kSecTagRecursion]);
@@ -393,13 +347,13 @@ Status ValidateBtsx2Deep(const Btsx2View& v) {
     }
     if (r.tag == xml::kNullTag) {
       // Text node: a leaf whose text_ref numbers text nodes in document
-      // order (the invariant PageStore mirrors).
+      // order (the numbering Document's builder assigns).
       if (r.subtree_end != id) return Corrupt("text node with children");
       if (r.text_ref != text_refs || r.text_ref >= v.num_text_spans) {
         return Corrupt("text ref out of order");
       }
       ++text_refs;
-      const xml::ExternalTextSpan& s = v.text_spans[r.text_ref];
+      const xml::TextSpan& s = v.text_spans[r.text_ref];
       if (static_cast<uint64_t>(s.offset) + s.length > v.text_pool_bytes) {
         return Corrupt("text span out of bounds");
       }
@@ -421,7 +375,7 @@ Status ValidateBtsx2Deep(const Btsx2View& v) {
   // contiguous and exhaustive, strings inside the pool.
   uint32_t next_attr = 0;
   for (uint64_t i = 0; i < v.num_attr_owners; ++i) {
-    const xml::ExternalAttrOwner& o = v.attr_owners[i];
+    const xml::AttrOwner& o = v.attr_owners[i];
     if (o.node >= n || v.records[o.node].tag == xml::kNullTag) {
       return Corrupt("attr owner is not an element");
     }

@@ -74,10 +74,10 @@ struct Btsx2View {
 
   const xml::PackedNodeRecord* records = nullptr;
   const xml::NodeId* parent = nullptr;
-  const xml::ExternalTextSpan* text_spans = nullptr;
+  const xml::TextSpan* text_spans = nullptr;
   const char* text_pool = nullptr;
   uint64_t text_pool_bytes = 0;
-  const xml::ExternalAttrOwner* attr_owners = nullptr;
+  const xml::AttrOwner* attr_owners = nullptr;
   const xml::Attribute* attrs = nullptr;
   const uint32_t* tag_recursion = nullptr;
   const uint64_t* tag_stream_offsets = nullptr;
@@ -89,9 +89,9 @@ struct Btsx2View {
   uint64_t records_offset = 0;
   uint64_t records_bytes = 0;
 
-  /// \brief Borrows this view's arrays as a Document external layout
+  /// \brief Borrows this view's arrays as a Document layout
   /// (copies the tag names; everything else stays zero-copy).
-  xml::ExternalLayout ToLayout() const;
+  xml::NodeLayout ToLayout() const;
 };
 
 /// \brief Serializes a finished document into BTSX v2 bytes. Fails

@@ -113,10 +113,6 @@ class DiskStore : public NodeStore {
     return {records + (n - first), end - n + 1};
   }
 
-  std::vector<NodeRange> Partition(size_t max_partitions) const override {
-    return PartitionFromRecords(max_partitions);
-  }
-
   uint64_t PageReads() const override {
     return block_reads_.load(std::memory_order_relaxed);
   }

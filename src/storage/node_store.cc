@@ -3,6 +3,13 @@
 namespace blossomtree {
 namespace storage {
 
+namespace {
+
+/// Greedy balanced grouping of consecutive top-level subtrees
+/// [cuts[i], cuts[i+1]) into at most `max_partitions` contiguous ranges.
+/// `cuts` holds the NodeId where each top-level subtree starts (the first
+/// entry is the document root itself, which precedes its first child), and
+/// `total` is the number of nodes in the document.
 std::vector<NodeRange> GroupSubtreeCuts(const std::vector<xml::NodeId>& cuts,
                                         size_t total, size_t max_partitions) {
   std::vector<NodeRange> out;
@@ -26,15 +33,15 @@ std::vector<NodeRange> GroupSubtreeCuts(const std::vector<xml::NodeId>& cuts,
   return out;
 }
 
-std::vector<NodeRange> NodeStore::PartitionFromRecords(
-    size_t max_partitions) const {
+}  // namespace
+
+std::vector<NodeRange> NodeStore::Partition(size_t max_partitions) const {
   size_t total = NumNodes();
   std::vector<xml::NodeId> cuts;
   if (total > 0) {
     ScanCursor cursor;
-    // Planning walk: pages through the store without counting reads, so
-    // DiskStore::Partition matches PageStore::Partition's accounting (a
-    // scan's records_read covers scan I/O only, on every store).
+    // Planning walk: pages through the store without counting reads (a
+    // scan's records_read covers scan I/O only).
     cursor.count_reads = false;
     cuts.push_back(0);
     // Children of the root are the level-1 records; each one's subtree_end

@@ -43,11 +43,9 @@ struct ScanCursor {
   size_t page = static_cast<size_t>(-1);
   uint64_t reads = 0;
   std::shared_ptr<const void> pin;
-  /// False for planning-time walks (PartitionFromRecords): the cursor
-  /// still pins and pages normally, but neither the cursor's `reads` nor
-  /// the store-wide aggregate is incremented — partitioning is planning,
-  /// not scan I/O, on every store (PageStore always behaved this way;
-  /// DiskStore used to count its partition walk, diverging from it).
+  /// False for planning-time walks (Partition): the cursor still pins and
+  /// pages normally, but neither the cursor's `reads` nor the store-wide
+  /// aggregate is incremented — partitioning is planning, not scan I/O.
   bool count_reads = true;
   /// Staging slot for the base-class NextBlock fallback (stores without a
   /// native block span serve batched scans one record at a time).
@@ -56,8 +54,8 @@ struct ScanCursor {
 
 /// \brief Abstract document-order node store with page/block-granular
 /// access counting — the secondary-storage substrate the NoK scanners and
-/// joins run over. Two implementations: PageStore (in-RAM, built from a
-/// parsed document) and DiskStore (BTSX v2 file, mmap or pread + block
+/// joins run over. Two implementations: PageStore (in-RAM, a view over a
+/// document's records) and DiskStore (BTSX v2 file, mmap or pread + block
 /// cache). Thread-safe for concurrent readers; all mutable state is either
 /// atomic (aggregate counters) or caller-owned (ScanCursor).
 class NodeStore {
@@ -98,8 +96,12 @@ class NodeStore {
 
   /// \brief Partitions the stored document into at most `max_partitions`
   /// contiguous node ranges cut at top-level subtree boundaries (the
-  /// parallel-scan contract of PartitionSubtrees; see DESIGN.md §7).
-  virtual std::vector<NodeRange> Partition(size_t max_partitions) const = 0;
+  /// parallel-scan contract of PartitionSubtrees; see DESIGN.md §7). Walks
+  /// the top-level subtree boundaries through Get() with a private,
+  /// non-counting cursor (bounds-checked, so a corrupt record array
+  /// degrades to one whole-store range instead of reading out of bounds),
+  /// then groups them greedily by node count.
+  std::vector<NodeRange> Partition(size_t max_partitions) const;
 
   /// \brief Aggregate page/block reads across all cursors since the last
   /// ResetCounters — the I/O proxy metric. Per-cursor totals (exact and
@@ -124,22 +126,7 @@ class NodeStore {
     NodeRecord nr = Get(next, cursor);
     return nr.level == r.level ? next : xml::kNullNode;
   }
-
- protected:
-  /// Generic Partition implementation: walks top-level subtree boundaries
-  /// through Get() with a private cursor (bounds-checked, so a corrupt
-  /// record array degrades to one whole-store range instead of reading out
-  /// of bounds), then groups them greedily by node count.
-  std::vector<NodeRange> PartitionFromRecords(size_t max_partitions) const;
 };
-
-/// \brief Greedy balanced grouping of consecutive top-level subtrees
-/// [cuts[i], cuts[i+1]) into at most `max_partitions` contiguous ranges.
-/// `cuts` holds the NodeId where each top-level subtree starts (the first
-/// entry is the document root itself, which precedes its first child), and
-/// `total` is the number of nodes in the document.
-std::vector<NodeRange> GroupSubtreeCuts(const std::vector<xml::NodeId>& cuts,
-                                        size_t total, size_t max_partitions);
 
 }  // namespace storage
 }  // namespace blossomtree

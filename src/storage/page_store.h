@@ -28,7 +28,7 @@ std::vector<NodeRange> PartitionSubtrees(const xml::Document& doc,
                                          size_t max_partitions);
 
 /// \brief A document-order, page-partitioned in-RAM node store with access
-/// counting.
+/// counting: a zero-copy view over a finished document's record stream.
 ///
 /// Models the paper's secondary-storage scans: every page touched is counted,
 /// so benches can report scan/I-O proxies (e.g. merged-NoK saves scans;
@@ -42,7 +42,7 @@ std::vector<NodeRange> PartitionSubtrees(const xml::Document& doc,
 /// "current page" slot.
 class PageStore : public NodeStore {
  public:
-  /// \brief Builds the store from a finished document.
+  /// \brief Views `doc`'s records, which must outlive the store.
   /// \param page_bytes page size in bytes (default 4 KiB).
   explicit PageStore(const xml::Document& doc, size_t page_bytes = 4096);
 
@@ -66,7 +66,7 @@ class PageStore : public NodeStore {
     size_t end = std::min<size_t>(
         {static_cast<size_t>(last), (page + 1) * nodes_per_page_ - 1,
          records_.size() - 1});
-    return {records_.data() + n, end - n + 1};
+    return records_.subspan(n, end - n + 1);
   }
 
   // -- I/O accounting --------------------------------------------------------
@@ -77,12 +77,6 @@ class PageStore : public NodeStore {
   void ResetCounters() const override {
     page_reads_.store(0, std::memory_order_relaxed);
   }
-
-  /// \brief Partitions the stored document into at most `max_partitions`
-  /// contiguous node ranges cut at top-level subtree boundaries (see
-  /// PartitionSubtrees above), using the store's own records. Does not
-  /// count page reads: partitioning is planning, not scan I/O.
-  std::vector<NodeRange> Partition(size_t max_partitions) const override;
 
  private:
   /// Moves the cursor onto n's page, counting the switch (unless the
@@ -99,7 +93,7 @@ class PageStore : public NodeStore {
     return page;
   }
 
-  std::vector<NodeRecord> records_;
+  std::span<const NodeRecord> records_;  ///< The document's own records.
   size_t nodes_per_page_;
   size_t num_pages_;
   mutable std::atomic<uint64_t> page_reads_{0};

@@ -16,6 +16,9 @@ uint64_t NextGeneration() {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
+/// PackedNodeRecord::text_ref of an element.
+constexpr uint32_t kNullTextRef = static_cast<uint32_t>(-1);
+
 }  // namespace
 
 TagId TagDictionary::Intern(std::string_view name) {
@@ -32,86 +35,96 @@ TagId TagDictionary::Lookup(std::string_view name) const {
   return it == ids_.end() ? kNullTag : it->second;
 }
 
+NodeId Document::AppendNode(TagId tag, uint32_t text_ref) {
+  NodeId id = static_cast<NodeId>(records_.size());
+  records_.push_back({tag, id, static_cast<uint32_t>(open_stack_.size()),
+                      text_ref});
+  parent_.push_back(open_stack_.empty() ? kNullNode : open_stack_.back());
+  return id;
+}
+
 NodeId Document::BeginElement(std::string_view name) {
-  NodeId id = static_cast<NodeId>(kind_.size());
-  kind_.push_back(NodeKind::kElement);
-  tag_.push_back(tags_.Intern(name));
-  NodeId parent = open_stack_.empty() ? kNullNode : open_stack_.back();
-  parent_.push_back(parent);
-  first_child_.push_back(kNullNode);
-  last_child_.push_back(kNullNode);
-  next_sibling_.push_back(kNullNode);
-  subtree_end_.push_back(id);
-  level_.push_back(parent == kNullNode ? 0 : level_[parent] + 1);
-  text_span_.emplace_back(0, 0);
-  if (parent != kNullNode) {
-    if (first_child_[parent] == kNullNode) {
-      first_child_[parent] = id;
-    } else {
-      next_sibling_[last_child_[parent]] = id;
-    }
-    last_child_[parent] = id;
+  TagId tag = tags_.Intern(name);
+  NodeId id = AppendNode(tag, kNullTextRef);
+  // Statistics are kept as the document grows, so Finish() needs no pass
+  // over the nodes: the open count of a tag is its nesting degree here.
+  if (tag >= open_per_tag_.size()) {
+    open_per_tag_.resize(tag + 1, 0);
+    tag_recursion_.resize(tag + 1, 0);
   }
+  uint32_t degree = ++open_per_tag_[tag];
+  tag_recursion_[tag] = std::max(tag_recursion_[tag], degree);
+  layout_.max_recursion = std::max(layout_.max_recursion, degree);
+  uint32_t depth = records_.back().level + 1;  // Table 1: root is depth 1.
+  depth_sum_ += depth;
+  layout_.max_depth = std::max(layout_.max_depth, depth);
+  ++layout_.num_elements;
   open_stack_.push_back(id);
   return id;
 }
 
 void Document::AddAttribute(std::string_view name, std::string_view value) {
   NodeId owner = open_stack_.back();
+  // The owner table is sorted and each owner's attributes are contiguous,
+  // which holds only if attributes come before any child of their element.
+  if (owner + 1 != records_.size()) {
+    attr_after_child_ = true;
+    return;
+  }
   uint32_t name_off = static_cast<uint32_t>(text_pool_.size());
   text_pool_.append(name);
   uint32_t value_off = static_cast<uint32_t>(text_pool_.size());
   text_pool_.append(value);
-  Attribute a{name_off, static_cast<uint32_t>(name.size()), value_off,
-              static_cast<uint32_t>(value.size())};
-  auto it = attr_range_.find(owner);
-  if (it == attr_range_.end()) {
-    uint32_t idx = static_cast<uint32_t>(attrs_.size());
-    attrs_.push_back(a);
-    attr_range_.emplace(owner, std::make_pair(idx, idx + 1));
+  attrs_.push_back({name_off, static_cast<uint32_t>(name.size()), value_off,
+                    static_cast<uint32_t>(value.size())});
+  uint32_t last = static_cast<uint32_t>(attrs_.size());
+  if (attr_owners_.empty() || attr_owners_.back().node != owner) {
+    attr_owners_.push_back({owner, last - 1, last});
   } else {
-    // Attributes of one element are added contiguously by the builder.
-    attrs_.push_back(a);
-    it->second.second = static_cast<uint32_t>(attrs_.size());
+    attr_owners_.back().last = last;
   }
 }
 
 NodeId Document::AddText(std::string_view text) {
-  NodeId id = static_cast<NodeId>(kind_.size());
-  kind_.push_back(NodeKind::kText);
-  tag_.push_back(kNullTag);
-  NodeId parent = open_stack_.empty() ? kNullNode : open_stack_.back();
-  parent_.push_back(parent);
-  first_child_.push_back(kNullNode);
-  last_child_.push_back(kNullNode);
-  next_sibling_.push_back(kNullNode);
-  subtree_end_.push_back(id);
-  level_.push_back(parent == kNullNode ? 0 : level_[parent] + 1);
-  uint32_t off = static_cast<uint32_t>(text_pool_.size());
+  NodeId id = AppendNode(kNullTag, static_cast<uint32_t>(text_spans_.size()));
+  text_spans_.push_back({static_cast<uint32_t>(text_pool_.size()),
+                         static_cast<uint32_t>(text.size())});
   text_pool_.append(text);
-  text_span_.emplace_back(off, static_cast<uint32_t>(text.size()));
-  if (parent != kNullNode) {
-    if (first_child_[parent] == kNullNode) {
-      first_child_[parent] = id;
-    } else {
-      next_sibling_[last_child_[parent]] = id;
-    }
-    last_child_[parent] = id;
-  }
   return id;
 }
 
 void Document::EndElement() {
   NodeId id = open_stack_.back();
   open_stack_.pop_back();
-  subtree_end_[id] = static_cast<NodeId>(kind_.size() - 1);
+  records_[id].subtree_end = static_cast<NodeId>(records_.size() - 1);
+  --open_per_tag_[records_[id].tag];
 }
 
 Status Document::Finish() {
   if (!open_stack_.empty()) {
     return Status::Internal("Document::Finish with unclosed elements");
   }
-  ComputeStats();
+  if (attr_after_child_) {
+    return Status::InvalidArgument(
+        "Document::Finish: attribute added after a child of its element");
+  }
+  tag_recursion_.resize(tags_.size(), 0);
+  layout_.num_nodes = records_.size();
+  layout_.records = records_.data();
+  layout_.parent = parent_.data();
+  layout_.text_spans = text_spans_.data();
+  layout_.num_text_spans = text_spans_.size();
+  layout_.text_pool = text_pool_.data();
+  layout_.text_pool_bytes = text_pool_.size();
+  layout_.attr_owners = attr_owners_.data();
+  layout_.num_attr_owners = attr_owners_.size();
+  layout_.attrs = attrs_.data();
+  layout_.num_attrs = attrs_.size();
+  layout_.tag_recursion = tag_recursion_.data();
+  layout_.avg_depth =
+      layout_.num_elements == 0
+          ? 0.0
+          : static_cast<double>(depth_sum_) / layout_.num_elements;
   // Process-wide, never reused: identical bytes re-parsed into a new
   // Document get a new generation, which is what invalidates NoK result
   // cache entries keyed to the old object (DESIGN.md §11).
@@ -119,8 +132,8 @@ Status Document::Finish() {
   return Status::OK();
 }
 
-Status Document::AdoptExternal(ExternalLayout layout) {
-  if (!kind_.empty() || generation_ != 0 || ext_.records != nullptr) {
+Status Document::AdoptExternal(NodeLayout layout) {
+  if (!records_.empty() || generation_ != 0) {
     return Status::Internal("AdoptExternal on a non-empty document");
   }
   if (layout.num_nodes > 0 &&
@@ -146,27 +159,20 @@ Status Document::AdoptExternal(ExternalLayout layout) {
     return Status::InvalidArgument(
         "AdoptExternal: duplicate names in tag dictionary");
   }
-  num_elements_ = layout.num_elements;
-  max_depth_ = layout.max_depth;
-  avg_depth_ = layout.avg_depth;
-  max_recursion_ = layout.max_recursion;
-  ext_ = std::move(layout);
+  layout_ = std::move(layout);
   // Names now live in tags_; keep the layout copy from doubling memory.
-  ext_.tag_names.clear();
-  ext_.tag_names.shrink_to_fit();
+  layout_.tag_names.clear();
+  layout_.tag_names.shrink_to_fit();
+  external_ = true;
   generation_ = NextGeneration();
   return Status::OK();
 }
 
 std::string_view Document::Text(NodeId n) const {
-  if (ext_.records != nullptr) {
-    uint32_t ref = ext_.records[n].text_ref;
-    if (ref == static_cast<uint32_t>(-1)) return {};
-    const ExternalTextSpan& span = ext_.text_spans[ref];
-    return std::string_view(ext_.text_pool + span.offset, span.length);
-  }
-  const auto& span = text_span_[n];
-  return std::string_view(text_pool_).substr(span.first, span.second);
+  uint32_t ref = layout_.records[n].text_ref;
+  if (ref == kNullTextRef) return {};
+  const TextSpan& span = layout_.text_spans[ref];
+  return std::string_view(layout_.text_pool + span.offset, span.length);
 }
 
 std::string Document::StringValue(NodeId n) const {
@@ -182,37 +188,23 @@ std::string Document::StringValue(NodeId n) const {
   return out;
 }
 
-const ExternalAttrOwner* Document::FindExternalAttrs(NodeId n) const {
-  const ExternalAttrOwner* begin = ext_.attr_owners;
-  const ExternalAttrOwner* end = begin + ext_.num_attr_owners;
-  const ExternalAttrOwner* it = std::lower_bound(
+const AttrOwner* Document::FindAttrs(NodeId n) const {
+  const AttrOwner* begin = layout_.attr_owners;
+  const AttrOwner* end = begin + layout_.num_attr_owners;
+  const AttrOwner* it = std::lower_bound(
       begin, end, n,
-      [](const ExternalAttrOwner& o, NodeId node) { return o.node < node; });
+      [](const AttrOwner& o, NodeId node) { return o.node < node; });
   return (it != end && it->node == n) ? it : nullptr;
 }
 
 std::vector<std::pair<std::string_view, std::string_view>>
 Document::Attributes(NodeId n) const {
   std::vector<std::pair<std::string_view, std::string_view>> out;
-  uint32_t first = 0;
-  uint32_t last = 0;
-  std::string_view pool;
-  if (ext_.records != nullptr) {
-    const ExternalAttrOwner* owner = FindExternalAttrs(n);
-    if (owner == nullptr) return out;
-    first = owner->first;
-    last = owner->last;
-    pool = std::string_view(ext_.text_pool, ext_.text_pool_bytes);
-  } else {
-    auto it = attr_range_.find(n);
-    if (it == attr_range_.end()) return out;
-    first = it->second.first;
-    last = it->second.second;
-    pool = std::string_view(text_pool_);
-  }
-  const Attribute* attrs = ext_.records != nullptr ? ext_.attrs : attrs_.data();
-  for (uint32_t i = first; i < last; ++i) {
-    const Attribute& a = attrs[i];
+  const AttrOwner* owner = FindAttrs(n);
+  if (owner == nullptr) return out;
+  std::string_view pool(layout_.text_pool, layout_.text_pool_bytes);
+  for (uint32_t i = owner->first; i < owner->last; ++i) {
+    const Attribute& a = layout_.attrs[i];
     out.emplace_back(pool.substr(a.name_offset, a.name_len),
                      pool.substr(a.value_offset, a.value_len));
   }
@@ -221,25 +213,11 @@ Document::Attributes(NodeId n) const {
 
 bool Document::AttributeValue(NodeId n, std::string_view name,
                               std::string_view* value) const {
-  uint32_t first = 0;
-  uint32_t last = 0;
-  std::string_view pool;
-  if (ext_.records != nullptr) {
-    const ExternalAttrOwner* owner = FindExternalAttrs(n);
-    if (owner == nullptr) return false;
-    first = owner->first;
-    last = owner->last;
-    pool = std::string_view(ext_.text_pool, ext_.text_pool_bytes);
-  } else {
-    auto it = attr_range_.find(n);
-    if (it == attr_range_.end()) return false;
-    first = it->second.first;
-    last = it->second.second;
-    pool = std::string_view(text_pool_);
-  }
-  const Attribute* attrs = ext_.records != nullptr ? ext_.attrs : attrs_.data();
-  for (uint32_t i = first; i < last; ++i) {
-    const Attribute& a = attrs[i];
+  const AttrOwner* owner = FindAttrs(n);
+  if (owner == nullptr) return false;
+  std::string_view pool(layout_.text_pool, layout_.text_pool_bytes);
+  for (uint32_t i = owner->first; i < owner->last; ++i) {
+    const Attribute& a = layout_.attrs[i];
     if (pool.substr(a.name_offset, a.name_len) == name) {
       *value = pool.substr(a.value_offset, a.value_len);
       return true;
@@ -248,56 +226,43 @@ bool Document::AttributeValue(NodeId n, std::string_view name,
   return false;
 }
 
-std::span<const NodeId> Document::TagIndex(TagId t) const {
-  if (ext_.records != nullptr) {
-    // Zero-copy view over the persisted per-tag stream — no build pass.
-    if (t == kNullTag || t >= tags_.size()) return {};
-    uint64_t begin = ext_.tag_stream_offsets[t];
-    uint64_t end = ext_.tag_stream_offsets[t + 1];
-    return {ext_.tag_streams + begin, static_cast<size_t>(end - begin)};
-  }
-  // Built at most once even under concurrent callers: documents are shared
-  // read-only across a service's concurrent queries, and the pre-PR 6
-  // unguarded lazy build was a data race in that regime.
-  std::call_once(tag_index_once_, [this] {
-    tag_index_.assign(tags_.size(), {});
-    for (NodeId n = 0; n < kind_.size(); ++n) {
-      if (kind_[n] == NodeKind::kElement) tag_index_[tag_[n]].push_back(n);
+void Document::BindTagStreams() const {
+  // At most once even under concurrent callers: documents are shared
+  // read-only across a service's concurrent queries. An adopted image
+  // already carries its streams; a built document counting-sorts its
+  // elements by tag on first use, so Finish() stays O(#tags).
+  std::call_once(tag_streams_once_, [this] {
+    if (layout_.tag_stream_offsets != nullptr) return;
+    tag_stream_offsets_.assign(tags_.size() + 1, 0);
+    for (const PackedNodeRecord& r : Records()) {
+      if (r.tag != kNullTag) ++tag_stream_offsets_[r.tag + 1];
     }
+    for (size_t t = 0; t < tags_.size(); ++t) {
+      tag_stream_offsets_[t + 1] += tag_stream_offsets_[t];
+    }
+    tag_streams_.resize(static_cast<size_t>(tag_stream_offsets_.back()));
+    std::vector<uint64_t> next(tag_stream_offsets_.begin(),
+                               tag_stream_offsets_.end() - 1);
+    for (NodeId n = 0; n < NumNodes(); ++n) {
+      TagId t = Tag(n);
+      if (t != kNullTag) tag_streams_[next[t]++] = n;
+    }
+    layout_.tag_stream_offsets = tag_stream_offsets_.data();
+    layout_.tag_streams = tag_streams_.data();
   });
-  if (t == kNullTag || t >= tag_index_.size()) return {};
-  return tag_index_[t];
 }
 
-void Document::ComputeStats() {
-  num_elements_ = 0;
-  max_depth_ = 0;
-  max_recursion_ = 0;
-  uint64_t depth_sum = 0;
-  // Same-tag nesting degree via a DFS with per-tag counters: the ancestor
-  // chain of node n is exactly the elements a with a <= n <= SubtreeEnd(a),
-  // which we track with an explicit stack during the linear scan.
-  std::vector<NodeId> stack;
-  std::vector<uint32_t> tag_depth(tags_.size(), 0);
-  tag_recursion_.assign(tags_.size(), 0);
-  for (NodeId n = 0; n < kind_.size(); ++n) {
-    while (!stack.empty() && subtree_end_[stack.back()] < n) {
-      --tag_depth[tag_[stack.back()]];
-      stack.pop_back();
-    }
-    if (kind_[n] != NodeKind::kElement) continue;
-    ++num_elements_;
-    uint32_t depth = level_[n] + 1;  // Table 1 counts the root as depth 1.
-    depth_sum += depth;
-    max_depth_ = std::max(max_depth_, depth);
-    uint32_t deg = ++tag_depth[tag_[n]];
-    max_recursion_ = std::max(max_recursion_, deg);
-    tag_recursion_[tag_[n]] = std::max(tag_recursion_[tag_[n]], deg);
-    stack.push_back(n);
-  }
-  avg_depth_ = num_elements_ == 0
-                   ? 0.0
-                   : static_cast<double>(depth_sum) / num_elements_;
+const NodeLayout& Document::Layout() const {
+  BindTagStreams();
+  return layout_;
+}
+
+std::span<const NodeId> Document::TagIndex(TagId t) const {
+  BindTagStreams();
+  if (t == kNullTag || t >= tags_.size()) return {};
+  uint64_t begin = layout_.tag_stream_offsets[t];
+  uint64_t end = layout_.tag_stream_offsets[t + 1];
+  return {layout_.tag_streams + begin, static_cast<size_t>(end - begin)};
 }
 
 uint32_t SiblingRank(const Document& doc, NodeId n, std::string_view tag) {
@@ -311,14 +276,6 @@ uint32_t SiblingRank(const Document& doc, NodeId n, std::string_view tag) {
     if (c == n) return rank;
   }
   return rank;
-}
-
-size_t Document::StructureBytes() const {
-  if (ext_.records != nullptr) {
-    return ext_.num_nodes * (sizeof(PackedNodeRecord) + sizeof(NodeId));
-  }
-  return kind_.size() * (sizeof(NodeKind) + sizeof(TagId) + 4 * sizeof(NodeId) +
-                         sizeof(uint32_t));
 }
 
 }  // namespace xml

@@ -61,11 +61,11 @@ struct Attribute {
   uint32_t value_len;
 };
 
-/// \brief One fixed-width node record of the *external* document layout
-/// (the decoded paged form the BTSX v2 file persists; see DESIGN.md §13):
-/// everything the structural accessors need, 16 bytes per node in document
-/// order. First-child / next-sibling are derived from subtree extents, so
-/// no tree pointers are stored.
+/// \brief One fixed-width node record of the document layout (the form the
+/// BTSX v2 file persists; see DESIGN.md §13): everything the structural
+/// accessors need, 16 bytes per node in document order. First-child /
+/// next-sibling are derived from subtree extents, so no tree pointers are
+/// stored.
 struct PackedNodeRecord {
   TagId tag;           ///< kNullTag for text nodes.
   NodeId subtree_end;  ///< Largest NodeId in this node's subtree.
@@ -76,39 +76,40 @@ static_assert(sizeof(PackedNodeRecord) == 16, "on-disk record is 16 bytes");
 static_assert(std::is_trivially_copyable_v<PackedNodeRecord>,
               "records are memcpy'd out of mapped files");
 
-/// \brief (offset, length) of one text node's payload in the external text
-/// pool; one entry per text node, indexed by PackedNodeRecord::text_ref.
-struct ExternalTextSpan {
+/// \brief (offset, length) of one text node's payload in the text pool; one
+/// entry per text node, indexed by PackedNodeRecord::text_ref.
+struct TextSpan {
   uint32_t offset;
   uint32_t length;
 };
-static_assert(sizeof(ExternalTextSpan) == 8, "on-disk text span is 8 bytes");
+static_assert(sizeof(TextSpan) == 8, "on-disk text span is 8 bytes");
 
-/// \brief Attribute ownership of the external layout: element `node` owns
-/// attrs [first, last). Sorted by `node` for binary search.
-struct ExternalAttrOwner {
+/// \brief Attribute ownership: element `node` owns attrs [first, last).
+/// Sorted by `node` for binary search.
+struct AttrOwner {
   NodeId node;
   uint32_t first;
   uint32_t last;
 };
-static_assert(sizeof(ExternalAttrOwner) == 12, "on-disk owner is 12 bytes");
+static_assert(sizeof(AttrOwner) == 12, "on-disk owner is 12 bytes");
 
-/// \brief A complete externally owned document image — the BTSX v2 mapped
-/// layout. All pointers are *borrowed*: they must outlive the Document that
-/// adopts them (storage::DiskStore owns both the mapping and the Document).
+/// \brief The one node layout of a Document — the arrays a BTSX v2 image
+/// persists, section for section. A built document points it at arrays it
+/// owns; an adopted one at a (typically mmap'd) image, whose bytes must
+/// outlive the Document (storage::DiskStore owns both).
 ///
 /// AdoptExternal trusts these arrays to be internally consistent (record
 /// extents nested, spans inside the pool, streams sorted); callers mapping
 /// untrusted bytes must run storage::ValidateBtsx2Deep first.
-struct ExternalLayout {
+struct NodeLayout {
   size_t num_nodes = 0;
   const PackedNodeRecord* records = nullptr;  ///< num_nodes entries.
   const NodeId* parent = nullptr;             ///< num_nodes entries.
-  const ExternalTextSpan* text_spans = nullptr;
+  const TextSpan* text_spans = nullptr;
   size_t num_text_spans = 0;
   const char* text_pool = nullptr;
   size_t text_pool_bytes = 0;
-  const ExternalAttrOwner* attr_owners = nullptr;  ///< Sorted by node.
+  const AttrOwner* attr_owners = nullptr;  ///< Sorted by node.
   size_t num_attr_owners = 0;
   const Attribute* attrs = nullptr;
   size_t num_attrs = 0;
@@ -117,18 +118,19 @@ struct ExternalLayout {
   const NodeId* tag_streams = nullptr;           ///< num_elements entries.
   /// Tag dictionary in TagId order (interned on adopt).
   std::vector<std::string> tag_names;
-  /// Precomputed statistics (ComputeStats equivalents, stored in the file).
+  /// Precomputed statistics (stored in the file; kept by the builder).
   size_t num_elements = 0;
   uint32_t max_depth = 0;
   double avg_depth = 0;
   uint32_t max_recursion = 0;
 };
 
-/// \brief An XML document in structure-of-arrays layout.
+/// \brief An XML document: one NodeLayout of packed node records and side
+/// tables.
 ///
 /// Each node carries:
-///  - its kind and tag id (elements) or text payload (text nodes),
-///  - tree pointers (parent / first child / next sibling),
+///  - its tag id (elements) or text payload (text nodes),
+///  - its parent,
 ///  - its region label: `start` = its own NodeId (preorder rank),
 ///    `end` = the largest NodeId in its subtree, `level` = depth from the
 ///    root (root is level 0).
@@ -140,11 +142,11 @@ struct ExternalLayout {
 /// Documents come into existence one of two ways:
 ///  - *built* in document order via BeginElement/AddText/EndElement (the
 ///    parser and the data generators) and frozen by Finish(), or
-///  - *adopted* from an external BTSX v2 image via AdoptExternal(): the
-///    structural arrays stay in the (typically mmap'd) image and every
-///    accessor reads them zero-copy, so opening is O(open), not O(parse).
-/// Either way the document is immutable afterwards and the engine cannot
-/// tell the two apart.
+///  - *adopted* from an external BTSX v2 image via AdoptExternal(), so
+///    opening is O(open), not O(parse).
+/// The two differ only in who owns the layout's arrays: every accessor
+/// reads the same layout, which is valid once Finish() or AdoptExternal()
+/// returned. Either way the document is immutable afterwards.
 class Document {
  public:
   Document() = default;
@@ -154,7 +156,8 @@ class Document {
   /// \brief Opens a new element with tag `name`; returns its NodeId.
   NodeId BeginElement(std::string_view name);
 
-  /// \brief Adds an attribute to the most recently opened element.
+  /// \brief Adds an attribute to the most recently opened element, which
+  /// must not have children yet (Finish() rejects the document otherwise).
   void AddAttribute(std::string_view name, std::string_view value);
 
   /// \brief Adds a text node under the currently open element.
@@ -163,8 +166,10 @@ class Document {
   /// \brief Closes the most recently opened element.
   void EndElement();
 
-  /// \brief Verifies the builder stack is empty and finalizes statistics.
-  /// Also stamps the document's generation (below).
+  /// \brief Verifies the builder stack is empty and every attribute came
+  /// before its element's children, then freezes the layout. O(#tags): the
+  /// statistics are kept as nodes are added. Also stamps the document's
+  /// generation (below).
   Status Finish();
 
   /// \brief Adopts an external (disk-resident) image instead of building:
@@ -173,10 +178,10 @@ class Document {
   /// on a fresh Document (nothing built, not finished). Stamps a fresh
   /// process generation — reopening the same file twice yields two
   /// generations, exactly like re-parsing the same bytes does.
-  Status AdoptExternal(ExternalLayout layout);
+  Status AdoptExternal(NodeLayout layout);
 
   /// \brief True when backed by an adopted external image.
-  bool external() const { return ext_.records != nullptr; }
+  bool external() const { return external_; }
 
   /// \brief Process-unique generation stamp, assigned by Finish() (or
   /// AdoptExternal()) from a monotonically increasing process-wide counter
@@ -189,63 +194,47 @@ class Document {
 
   // -- Structure accessors ---------------------------------------------------
 
-  size_t NumNodes() const {
-    return ext_.records != nullptr ? ext_.num_nodes : kind_.size();
-  }
+  size_t NumNodes() const { return layout_.num_nodes; }
   bool empty() const { return NumNodes() == 0; }
 
   /// \brief The document root element (first node), or kNullNode if empty.
   NodeId Root() const { return empty() ? kNullNode : 0; }
 
   NodeKind Kind(NodeId n) const {
-    if (ext_.records != nullptr) {
-      return ext_.records[n].tag == kNullTag ? NodeKind::kText
-                                             : NodeKind::kElement;
-    }
-    return kind_[n];
+    return Tag(n) == kNullTag ? NodeKind::kText : NodeKind::kElement;
   }
   bool IsElement(NodeId n) const { return Kind(n) == NodeKind::kElement; }
 
   /// \brief Tag id of an element node; kNullTag for text nodes.
-  TagId Tag(NodeId n) const {
-    return ext_.records != nullptr ? ext_.records[n].tag : tag_[n];
-  }
+  TagId Tag(NodeId n) const { return layout_.records[n].tag; }
 
   /// \brief Tag name of an element node.
   const std::string& TagName(NodeId n) const { return tags_.Name(Tag(n)); }
 
-  NodeId Parent(NodeId n) const {
-    return ext_.records != nullptr ? ext_.parent[n] : parent_[n];
-  }
+  NodeId Parent(NodeId n) const { return layout_.parent[n]; }
 
-  /// \brief First child in document order. The external path derives it
-  /// from the subtree extent (the paper's succinct-navigation identity:
-  /// a non-leaf's first child is the next node in preorder).
+  /// \brief First child in document order, derived from the subtree extent
+  /// (the paper's succinct-navigation identity: a non-leaf's first child is
+  /// the next node in preorder).
   NodeId FirstChild(NodeId n) const {
-    if (ext_.records == nullptr) return first_child_[n];
-    return ext_.records[n].subtree_end > n ? n + 1 : kNullNode;
+    return layout_.records[n].subtree_end > n ? n + 1 : kNullNode;
   }
 
-  /// \brief Next sibling in document order; derived on the external path
-  /// (the node just past this subtree, iff it sits at the same level).
+  /// \brief Next sibling in document order: the node just past this
+  /// subtree, iff it sits at the same level.
   NodeId NextSibling(NodeId n) const {
-    if (ext_.records == nullptr) return next_sibling_[n];
-    NodeId next = ext_.records[n].subtree_end + 1;
-    if (next >= ext_.num_nodes) return kNullNode;
-    return ext_.records[next].level == ext_.records[n].level ? next
-                                                             : kNullNode;
+    NodeId next = layout_.records[n].subtree_end + 1;
+    if (next >= layout_.num_nodes) return kNullNode;
+    return layout_.records[next].level == layout_.records[n].level
+               ? next
+               : kNullNode;
   }
 
   /// \brief Largest NodeId inside n's subtree (n itself if leaf).
-  NodeId SubtreeEnd(NodeId n) const {
-    return ext_.records != nullptr ? ext_.records[n].subtree_end
-                                   : subtree_end_[n];
-  }
+  NodeId SubtreeEnd(NodeId n) const { return layout_.records[n].subtree_end; }
 
   /// \brief Depth of n; the root has level 0.
-  uint32_t Level(NodeId n) const {
-    return ext_.records != nullptr ? ext_.records[n].level : level_[n];
-  }
+  uint32_t Level(NodeId n) const { return layout_.records[n].level; }
 
   /// \brief True iff `anc` is a proper ancestor of `desc`.
   bool IsAncestor(NodeId anc, NodeId desc) const {
@@ -273,107 +262,93 @@ class Document {
                       std::string_view* value) const;
 
   const TagDictionary& tags() const { return tags_; }
-  TagDictionary& mutable_tags() { return tags_; }
 
-  /// \brief Contiguous per-node tag array of a *built* document (kNullTag
-  /// at text nodes), or nullptr for external documents — the stride-4
-  /// input of the exec::FilterTagEq scan kernel.
-  const TagId* TagArray() const {
-    return ext_.records != nullptr ? nullptr : tag_.data();
+  /// \brief The record stream in document order — the input of the
+  /// exec::FilterTagEqRecords scan kernel and of storage::PageStore.
+  std::span<const PackedNodeRecord> Records() const {
+    return {layout_.records, layout_.num_nodes};
   }
 
-  /// \brief Adopted record stream of an *external* document, or nullptr
-  /// for built documents — the stride-16 input of the
-  /// exec::FilterTagEqRecords scan kernel.
-  const PackedNodeRecord* ExternalRecords() const { return ext_.records; }
+  /// \brief The whole layout, per-tag streams included — what
+  /// storage::EncodeBtsx2 writes section for section.
+  const NodeLayout& Layout() const;
 
   /// \brief All element nodes with tag id `t`, in document order.
   ///
   /// This is the "tag-name index" required by the join-based approaches
-  /// (TwigStack, structural merge join). Built lazily on first use, at
-  /// most once (std::call_once), so concurrent queries over one shared
-  /// document — the service::Corpus regime — may all call this without
-  /// external locking. External documents return a zero-copy span over the
-  /// per-tag node-id streams persisted in the BTSX v2 file: no build pass
-  /// at all, which is most of what makes opening O(open).
+  /// (TwigStack, structural merge join). An adopted document views the
+  /// per-tag streams persisted in its image; a built one builds them on
+  /// first use, at most once (std::call_once), so concurrent queries over
+  /// one shared document — the service::Corpus regime — may all call this
+  /// without external locking.
   std::span<const NodeId> TagIndex(TagId t) const;
 
   // -- Statistics (valid after Finish) ---------------------------------------
 
   /// \brief Number of element nodes.
-  size_t NumElements() const { return num_elements_; }
+  size_t NumElements() const { return layout_.num_elements; }
   /// \brief Maximum element depth (root = 1), matching Table 1's convention.
-  uint32_t MaxDepth() const { return max_depth_; }
+  uint32_t MaxDepth() const { return layout_.max_depth; }
   /// \brief Average element depth.
-  double AvgDepth() const { return avg_depth_; }
+  double AvgDepth() const { return layout_.avg_depth; }
   /// \brief Maximum same-tag nesting degree over all tags: 1 means
   /// non-recursive (no element is a descendant of a same-tag element).
-  uint32_t MaxRecursionDegree() const { return max_recursion_; }
+  uint32_t MaxRecursionDegree() const { return layout_.max_recursion; }
   /// \brief True iff some element has a same-tag proper ancestor.
-  bool IsRecursive() const { return max_recursion_ > 1; }
+  bool IsRecursive() const { return MaxRecursionDegree() > 1; }
   /// \brief Per-tag nesting degree: 1 = elements of this tag never nest.
   /// The optimizer's fine-grained rule uses this — pipelined //-joins are
   /// order-preserving whenever the *outer* tag does not nest, even if the
   /// document is recursive elsewhere.
   uint32_t TagRecursionDegree(TagId t) const {
-    if (ext_.records != nullptr) {
-      return t < tags_.size() ? ext_.tag_recursion[t] : 0;
-    }
-    return t < tag_recursion_.size() ? tag_recursion_[t] : 0;
+    return t < tags_.size() ? layout_.tag_recursion[t] : 0;
   }
-  /// \brief Approximate in-memory size of the structural arrays in bytes
-  /// (for an external document: of the mapped arrays it views).
-  size_t StructureBytes() const;
-  /// \brief Total bytes of text payload.
-  size_t TextBytes() const {
-    return ext_.records != nullptr ? ext_.text_pool_bytes : text_pool_.size();
+  /// \brief Size of the structural arrays (records and parents) in bytes.
+  size_t StructureBytes() const {
+    return NumNodes() * (sizeof(PackedNodeRecord) + sizeof(NodeId));
   }
+  /// \brief Total bytes of the text pool (text payloads and attributes).
+  size_t TextBytes() const { return layout_.text_pool_bytes; }
 
  private:
-  void ComputeStats();
+  /// Appends one record under the open element; returns its NodeId.
+  NodeId AppendNode(TagId tag, uint32_t text_ref);
 
-  /// Binary-searches the external attr-owner table; nullptr when `n` owns
-  /// no attributes.
-  const ExternalAttrOwner* FindExternalAttrs(NodeId n) const;
+  /// Builds a built document's per-tag streams, once.
+  void BindTagStreams() const;
+
+  /// Binary-searches the attr-owner table; nullptr when `n` owns no
+  /// attributes.
+  const AttrOwner* FindAttrs(NodeId n) const;
 
   TagDictionary tags_;
-  std::vector<NodeKind> kind_;
-  std::vector<TagId> tag_;
+
+  // The layout every accessor reads. Mutable only so BindTagStreams() can
+  // point it at the lazily built per-tag streams (under tag_streams_once_).
+  mutable NodeLayout layout_;
+  bool external_ = false;
+
+  // The arrays a built document owns (empty for an adopted one); Finish()
+  // points layout_ at them.
+  std::vector<PackedNodeRecord> records_;
   std::vector<NodeId> parent_;
-  std::vector<NodeId> first_child_;
-  std::vector<NodeId> last_child_;  // builder-only helper
-  std::vector<NodeId> next_sibling_;
-  std::vector<NodeId> subtree_end_;
-  std::vector<uint32_t> level_;
-
-  // Text payloads: (offset, len) into text_pool_.
-  std::vector<std::pair<uint32_t, uint32_t>> text_span_;
+  std::vector<TextSpan> text_spans_;
   std::string text_pool_;
-
-  // Attributes, grouped per element: element -> [first, last) in attrs_.
-  std::unordered_map<NodeId, std::pair<uint32_t, uint32_t>> attr_range_;
+  std::vector<AttrOwner> attr_owners_;
   std::vector<Attribute> attrs_;
-
-  std::vector<NodeId> open_stack_;
-
-  // Stats.
-  size_t num_elements_ = 0;
-  uint32_t max_depth_ = 0;
-  double avg_depth_ = 0;
-  uint32_t max_recursion_ = 0;
   std::vector<uint32_t> tag_recursion_;
+  mutable std::vector<uint64_t> tag_stream_offsets_;
+  mutable std::vector<NodeId> tag_streams_;
+  // The call_once makes Document non-copyable, which it semantically always
+  // was: nothing may copy a finished document's identity/generation.
+  mutable std::once_flag tag_streams_once_;
 
-  // Adopted external image; records == nullptr for built documents. Every
-  // accessor branches on that pointer, keeping the built path's codegen
-  // (one test + the original load) essentially unchanged.
-  ExternalLayout ext_;
-
-  // Lazy per-tag document-order index, built under tag_index_once_ (the
-  // call_once makes Document non-copyable, which it semantically always
-  // was: nothing may copy a finished document's identity/generation).
-  // External documents never build it — their index is in the file.
-  mutable std::vector<std::vector<NodeId>> tag_index_;
-  mutable std::once_flag tag_index_once_;
+  // Builder state: the open elements, each tag's open count (its nesting
+  // degree so far), the element depth sum, and a misplaced-attribute flag.
+  std::vector<NodeId> open_stack_;
+  std::vector<uint32_t> open_per_tag_;
+  uint64_t depth_sum_ = 0;
+  bool attr_after_child_ = false;
 
   uint64_t generation_ = 0;  ///< Stamped by Finish(); 0 = unfinished.
 };

@@ -1,7 +1,7 @@
 // Parity of the SIMD inner-loop kernels (DESIGN.md §16) with their scalar
-// references: FilterTagEq / FilterTagEqRecords must emit the identical
-// candidate list under every backend, on every alignment (including
-// deliberately misaligned record buffers), and CountLessEq must agree with
+// references: FilterTagEqRecords must emit the identical candidate list
+// under every backend, on every alignment (including deliberately
+// misaligned record buffers), and CountLessEq must agree with
 // std::upper_bound on arbitrary sorted inputs.
 
 #include <gtest/gtest.h>
@@ -41,6 +41,20 @@ std::vector<xml::TagId> RandomTags(Rng* rng, size_t n, uint32_t alphabet) {
   return tags;
 }
 
+/// Records carrying `tags`, with arbitrary other fields: the kernel must
+/// read the tag lane only.
+std::vector<xml::PackedNodeRecord> Records(
+    Rng* rng, const std::vector<xml::TagId>& tags) {
+  std::vector<xml::PackedNodeRecord> recs(tags.size());
+  for (size_t i = 0; i < tags.size(); ++i) {
+    recs[i].tag = tags[i];
+    recs[i].subtree_end = static_cast<xml::NodeId>(i);
+    recs[i].level = static_cast<uint32_t>(rng->Uniform(32));
+    recs[i].text_ref = UINT32_MAX;
+  }
+  return recs;
+}
+
 TEST(KernelsTest, BackendSelection) {
   // allow_simd=false always pins the scalar reference, whatever the build.
   EXPECT_EQ(EffectiveKernelBackend(false), KernelBackend::kScalar);
@@ -52,18 +66,19 @@ TEST(KernelsTest, BackendSelection) {
   EXPECT_STREQ(KernelBackendName(KernelBackend::kScalar), "scalar");
 }
 
-TEST(KernelsTest, FilterTagEqMatchesReferenceAtEveryLength) {
+TEST(KernelsTest, FilterTagEqRecordsMatchesReferenceAtEveryLength) {
   Rng rng(41);
   // Lengths straddle every vector-width boundary: 0..4 lanes plus tails.
   for (size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u, 17u, 31u,
                    64u, 100u, 511u, 512u, 513u, 4096u}) {
     std::vector<xml::TagId> tags = RandomTags(&rng, n, 5);
+    std::vector<xml::PackedNodeRecord> recs = Records(&rng, tags);
     for (xml::TagId target : {xml::TagId{0}, xml::TagId{3}, xml::kNullTag,
                               xml::TagId{999}}) {
       std::vector<xml::NodeId> expected = ReferenceFilter(tags, target, 10);
       for (bool simd : {false, true}) {
         std::vector<xml::NodeId> got;
-        FilterTagEq(tags.data(), n, target, 10, simd, &got);
+        FilterTagEqRecords(recs.data(), n, target, 10, simd, &got);
         EXPECT_EQ(got, expected) << "n=" << n << " target=" << target
                                  << " simd=" << simd;
       }
@@ -71,34 +86,12 @@ TEST(KernelsTest, FilterTagEqMatchesReferenceAtEveryLength) {
   }
 }
 
-TEST(KernelsTest, FilterTagEqAppendsWithoutClearing) {
-  std::vector<xml::TagId> tags = {1, 2, 1};
-  std::vector<xml::NodeId> got = {777};
-  FilterTagEq(tags.data(), tags.size(), 1, 0, true, &got);
-  EXPECT_EQ(got, (std::vector<xml::NodeId>{777, 0, 2}));
-}
-
-TEST(KernelsTest, FilterTagEqRecordsMatchesTagArrayKernel) {
+TEST(KernelsTest, FilterTagEqRecordsAppendsWithoutClearing) {
   Rng rng(43);
-  for (size_t n : {0u, 1u, 3u, 4u, 5u, 8u, 13u, 16u, 64u, 200u, 1000u}) {
-    std::vector<xml::TagId> tags = RandomTags(&rng, n, 7);
-    std::vector<xml::PackedNodeRecord> recs(n);
-    for (size_t i = 0; i < n; ++i) {
-      recs[i].tag = tags[i];
-      recs[i].subtree_end = static_cast<xml::NodeId>(i);
-      recs[i].level = static_cast<uint32_t>(rng.Uniform(32));
-      recs[i].text_ref = UINT32_MAX;
-    }
-    for (xml::TagId target : {xml::TagId{0}, xml::TagId{6}, xml::kNullTag}) {
-      std::vector<xml::NodeId> expected = ReferenceFilter(tags, target, 5);
-      for (bool simd : {false, true}) {
-        std::vector<xml::NodeId> got;
-        FilterTagEqRecords(recs.data(), n, target, 5, simd, &got);
-        EXPECT_EQ(got, expected) << "n=" << n << " target=" << target
-                                 << " simd=" << simd;
-      }
-    }
-  }
+  std::vector<xml::PackedNodeRecord> recs = Records(&rng, {1, 2, 1});
+  std::vector<xml::NodeId> got = {777};
+  FilterTagEqRecords(recs.data(), recs.size(), 1, 0, true, &got);
+  EXPECT_EQ(got, (std::vector<xml::NodeId>{777, 0, 2}));
 }
 
 TEST(KernelsTest, FilterTagEqRecordsHandlesMisalignedBuffers) {

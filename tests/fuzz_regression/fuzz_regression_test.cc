@@ -3,6 +3,7 @@
 // fuzzers themselves are Clang-only, but a crash must stay fixed everywhere.
 // Each input once crashed, hung, or invoked UB; the assertions pin the clean
 // behavior that replaced it.
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -66,12 +67,27 @@ TEST(FuzzRegressionTest, CorpusIsNonEmpty) {
 }
 
 // Every input must come back with a Status — OK or error — and never crash.
+// As in fuzz_xml_parser.cc, every parsed document must encode to a BTSX v2
+// image that MapBtsx2 and ValidateBtsx2Deep accept.
 TEST(FuzzRegressionTest, ReplayAllXmlInputs) {
   for (const fs::path& p : InputsIn("xml")) {
     SCOPED_TRACE(p.filename().string());
     auto doc = xml::ParseDocument(ReadFile(p), XmlFuzzOptions());
     if (doc.ok()) {
       EXPECT_GE(doc.value()->NumNodes(), 1u);
+      auto image = storage::EncodeBtsx2(**doc);
+      ASSERT_TRUE(image.ok()) << image.status().ToString();
+      // MapBtsx2 wants a 16-byte-aligned image base.
+      struct alignas(16) Chunk {
+        char bytes[16];
+      };
+      std::vector<Chunk> aligned(image->size() / sizeof(Chunk) + 1);
+      std::memcpy(aligned.data(), image->data(), image->size());
+      auto view = storage::MapBtsx2(
+          std::string_view(aligned.data()->bytes, image->size()));
+      ASSERT_TRUE(view.ok()) << view.status().ToString();
+      Status deep = storage::ValidateBtsx2Deep(*view);
+      EXPECT_TRUE(deep.ok()) << deep.ToString();
     }
   }
 }

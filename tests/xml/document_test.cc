@@ -167,6 +167,44 @@ TEST(DocumentTest, SiblingRank) {
   EXPECT_EQ(xml::SiblingRank(*doc, 0, "r"), 1u);
 }
 
+TEST(DocumentTest, FinishRejectsAttributeAfterChild) {
+  // An element's attributes must come before its children: the attribute
+  // owner table is sorted by element with one contiguous range each, so
+  // z (added to a after its child b) cannot be expressed, and b's y would
+  // otherwise leak into a's range.
+  Document doc;
+  doc.BeginElement("a");
+  doc.AddAttribute("x", "1");
+  doc.BeginElement("b");
+  doc.AddAttribute("y", "2");
+  doc.EndElement();
+  doc.AddAttribute("z", "3");
+  doc.EndElement();
+  Status st = doc.Finish();
+  EXPECT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(doc.generation(), 0u);
+}
+
+TEST(DocumentTest, AttributesBeforeChildrenStayWithTheirElement) {
+  Document doc;
+  NodeId a = doc.BeginElement("a");
+  doc.AddAttribute("x", "1");
+  NodeId b = doc.BeginElement("b");
+  doc.AddAttribute("y", "2");
+  doc.AddText("t");
+  doc.EndElement();
+  doc.EndElement();
+  ASSERT_TRUE(doc.Finish().ok());
+  auto attrs_a = doc.Attributes(a);
+  ASSERT_EQ(attrs_a.size(), 1u);
+  EXPECT_EQ(attrs_a[0].first, "x");
+  auto attrs_b = doc.Attributes(b);
+  ASSERT_EQ(attrs_b.size(), 1u);
+  EXPECT_EQ(attrs_b[0].first, "y");
+  EXPECT_EQ(doc.Text(b + 1), "t");
+}
+
 TEST(DocumentTest, EmptyDocumentAccessors) {
   Document doc;
   EXPECT_TRUE(doc.empty());
